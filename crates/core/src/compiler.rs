@@ -873,14 +873,8 @@ impl Compiler {
             TwBackend::Exact => {
                 graphtw::exact_treewidth(g).expect("checked via ensure_exact_feasible")
             }
-            TwBackend::MinFill => {
-                let order = graphtw::min_fill_order(g);
-                (graphtw::width_of_order(g, &order), order)
-            }
-            TwBackend::MinDegree => {
-                let order = graphtw::min_degree_order(g);
-                (graphtw::width_of_order(g, &order), order)
-            }
+            TwBackend::MinFill => graphtw::greedy_order(g, graphtw::Heuristic::MinFill),
+            TwBackend::MinDegree => graphtw::greedy_order(g, graphtw::Heuristic::MinDegree),
         }
     }
 }

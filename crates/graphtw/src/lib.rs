@@ -24,7 +24,8 @@ pub mod nice;
 
 pub use decomposition::{TdError, TreeDecomposition};
 pub use elimination::{
-    min_degree_order, min_fill_order, mmd_lower_bound, width_of_order, EliminationOrder,
+    greedy_order, min_degree_order, min_fill_order, mmd_lower_bound, width_of_order,
+    EliminationOrder, Heuristic,
 };
 pub use exact::{exact_pathwidth, exact_treewidth, ExactError};
 pub use graph::Graph;
@@ -44,14 +45,12 @@ pub fn treewidth(g: &Graph, exact_limit: usize) -> (usize, EliminationOrder) {
             return (w, order);
         }
     }
-    let o1 = min_fill_order(g);
-    let w1 = width_of_order(g, &o1);
-    let o2 = min_degree_order(g);
-    let w2 = width_of_order(g, &o2);
-    if w1 <= w2 {
-        (w1, o1)
+    let fill = greedy_order(g, Heuristic::MinFill);
+    let degree = greedy_order(g, Heuristic::MinDegree);
+    if fill.0 <= degree.0 {
+        fill
     } else {
-        (w2, o2)
+        degree
     }
 }
 

@@ -254,9 +254,19 @@ impl UniqueTable {
     }
 }
 
-/// Fibonacci multiplier for integer-key slot indexing (the golden-ratio
-/// constant spreads consecutive keys across the table).
+/// Fibonacci multiplier for slot indexing (the golden-ratio constant
+/// spreads consecutive keys across the table).
 const FIB_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Home slot of `key` in a power-of-two table of `cap` slots, by Fibonacci
+/// indexing: the high bits of `key · FIB_MIX`, which depend on every bit
+/// of the key. The unique table needs this: its keys are FxHash folds whose
+/// low bits see a prime id only through a 5-bit rotate, so `key & mask`
+/// clusters them into long probe runs.
+#[inline]
+fn home_slot(key: u64, cap: usize) -> usize {
+    (key.wrapping_mul(FIB_MIX) >> (64 - cap.trailing_zeros())) as usize
+}
 
 /// A hand-rolled open-addressed `u64 → u32` map for the apply cache and
 /// the lca memo: linear probing over a power-of-two slot array, exact
@@ -276,8 +286,6 @@ struct IntCache {
     vals: Box<[u32]>,
     /// Occupied slots.
     len: usize,
-    /// `64 - log2(keys.len())`, for Fibonacci indexing.
-    shift: u32,
 }
 
 impl IntCache {
@@ -287,19 +295,13 @@ impl IntCache {
             keys: vec![0; CAP].into_boxed_slice(),
             vals: vec![EMPTY_SLOT; CAP].into_boxed_slice(),
             len: 0,
-            shift: 64 - CAP.trailing_zeros(),
         }
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(FIB_MIX) >> self.shift) as usize
     }
 
     #[inline]
     fn get(&self, key: u64) -> Option<u32> {
         let mask = self.keys.len() - 1;
-        let mut i = self.slot_of(key);
+        let mut i = home_slot(key, self.keys.len());
         loop {
             let v = self.vals[i];
             if v == EMPTY_SLOT {
@@ -315,7 +317,7 @@ impl IntCache {
     fn insert(&mut self, key: u64, value: u32) {
         debug_assert_ne!(value, EMPTY_SLOT);
         let mask = self.keys.len() - 1;
-        let mut i = self.slot_of(key);
+        let mut i = home_slot(key, self.keys.len());
         loop {
             let v = self.vals[i];
             if v == EMPTY_SLOT {
@@ -338,7 +340,6 @@ impl IntCache {
 
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
-        let shift = 64 - new_cap.trailing_zeros();
         let mut keys = vec![0u64; new_cap].into_boxed_slice();
         let mut vals = vec![EMPTY_SLOT; new_cap].into_boxed_slice();
         let mask = new_cap - 1;
@@ -348,7 +349,7 @@ impl IntCache {
                 continue;
             }
             let k = self.keys[i];
-            let mut j = (k.wrapping_mul(FIB_MIX) >> shift) as usize;
+            let mut j = home_slot(k, new_cap);
             while vals[j] != EMPTY_SLOT {
                 j = (j + 1) & mask;
             }
@@ -357,7 +358,6 @@ impl IntCache {
         }
         self.keys = keys;
         self.vals = vals;
-        self.shift = shift;
     }
 
     fn memory_bytes(&self) -> usize {
@@ -817,8 +817,9 @@ impl SddManager {
         }
         compressed.sort_unstable_by_key(|&(p, _)| p);
         let hash = decision_hash(vnode, compressed);
-        let mask = self.unique.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let cap = self.unique.slots.len();
+        let mask = cap - 1;
+        let mut i = home_slot(hash, cap);
         loop {
             self.stats.unique_probes += 1;
             let (slot_hash, slot_id) = self.unique.slots[i];
@@ -867,7 +868,7 @@ impl SddManager {
             if id == EMPTY_SLOT {
                 continue;
             }
-            let mut i = (h as usize) & mask;
+            let mut i = home_slot(h, new_cap);
             while slots[i].1 != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }

@@ -28,7 +28,9 @@
 //! array an involution. Everything else is a typed [`SnapError`] — never
 //! a panic, never an out-of-bounds index.
 
-use crate::{decision_hash, next_uid, FrozenSdd, SddId, SddNode, UniqueTable, EMPTY_SLOT};
+use crate::{
+    decision_hash, home_slot, next_uid, FrozenSdd, SddId, SddNode, UniqueTable, EMPTY_SLOT,
+};
 use snap::{bytes_to_u32s, put_u32, Dec, Reader, SnapError, Writer, KIND_SDD};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -311,7 +313,7 @@ impl FrozenSdd {
                 continue;
             };
             let hash = decision_hash(*vnode, &arena[elems.start as usize..elems.end as usize]);
-            let mut i = (hash as usize) & mask;
+            let mut i = home_slot(hash, capacity);
             while slots[i].1 != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }
