@@ -1,10 +1,11 @@
-//! Criterion benchmarks for the database layer: lineage construction,
-//! probability computation through each route, and inversion detection.
+//! Criterion benchmarks for the database layer: lineage construction and
+//! compilation, probability computation through each route, and inversion
+//! detection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use query::{families, lineage_circuit, prob, Database};
+use query::{families, lineage_circuit, prob, Database, QueryCompiler};
 
 fn safe_db(n: u64) -> (query::Ucq, Database) {
     let (q, schema) = families::two_atom_hierarchical();
@@ -16,6 +17,17 @@ fn safe_db(n: u64) -> (query::Ucq, Database) {
         for m in 1..=3u64 {
             db.insert(s, vec![l, m], 0.5);
         }
+    }
+    (q, db)
+}
+
+/// `S(x,y), S(x',y'), x ≠ x'` over `n` tuples split between two x-values.
+fn sjoin_db(n: u64) -> (query::Ucq, Database) {
+    let (q, schema) = families::sjoin_inequality_query();
+    let s = schema.by_name("S").unwrap();
+    let mut db = Database::new(schema);
+    for i in 0..n {
+        db.insert(s, vec![i % 2, 37 * i + 1], 0.02 + 0.006 * i as f64);
     }
     (q, db)
 }
@@ -32,6 +44,20 @@ fn bench_lineage(c: &mut Criterion) {
     let db = families::uh_complete_db(&schema, 2, 3, 0.5);
     g.bench_function("uh2_dom3", |b| {
         b.iter(|| black_box(lineage_circuit(&q, &db).size()))
+    });
+    // Lineage → Lemma-1 vtree → SDD → probability: each lineage is one wide
+    // OR, so these time `SddManager::from_circuit`'s gate fold.
+    let qc = QueryCompiler::new();
+    for n in [22u64, 26] {
+        let (q, db) = sjoin_db(n);
+        g.bench_with_input(BenchmarkId::new("compile_sjoin", n), &n, |b, _| {
+            b.iter(|| black_box(qc.probability(&q, &db).unwrap().probability))
+        });
+    }
+    let (q, schema) = families::uh(1);
+    let db = families::uh_complete_db(&schema, 1, 4, 0.5);
+    g.bench_function("compile_uh1_dom4", |b| {
+        b.iter(|| black_box(qc.probability(&q, &db).unwrap().probability))
     });
     g.finish();
 }

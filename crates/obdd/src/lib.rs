@@ -338,6 +338,7 @@ impl Obdd {
     }
 
     /// Compile a circuit bottom-up with `apply`.
+    /// Left fold on purpose: an oracle for the SDD vtree-order fold, it shares no code or order.
     pub fn from_circuit(&mut self, c: &circuit::Circuit) -> NodeId {
         use circuit::GateKind;
         let mut val: Vec<NodeId> = Vec::with_capacity(c.size());

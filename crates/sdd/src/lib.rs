@@ -12,7 +12,12 @@
 //! * apply-style operations ([`SddManager::and`],
 //!   [`SddManager::or`], [`SddManager::negate`]) with memoization, via
 //!   lca-normalization and element cross products;
-//! * compilation from circuits and truth tables;
+//! * compilation from circuits and truth tables. A circuit's n-ary And/Or
+//!   gates fold **along the vtree** ([`SddManager::from_circuit`]): the
+//!   operands are ordered by the inorder position of the vtree node each
+//!   respects and merged pairwise at their vtree lca, deepest lca first,
+//!   so intermediate SDDs stay local to the vtree subtrees they join
+//!   instead of one accumulator growing against every operand;
 //! * conditioning (cofactors), used by the Theorem 5 experiments;
 //! * a generic semiring evaluation engine ([`SddManager::evaluate`], module
 //!   [`eval`]) with vtree-gap smoothing, instantiated at `BigUint` (exact
@@ -52,10 +57,11 @@
 //! speed, and anything deeper spills to the explicit worklist ([`Engine`],
 //! heap-allocated frames), which finishes with constant stack depth. Both
 //! paths consult and fill the same memo tables in the same order, so they
-//! construct identical nodes. Evaluation sweeps reachable decisions
-//! bottom-up in interning order. Vtree-deep diagrams — Θ(n) deep on the
-//! chain families — therefore work on a default-size thread stack at any
-//! variable count.
+//! construct identical nodes. The gate fold of circuit compilation merges
+//! on an explicit stack, never recursing on fan-in or vtree depth.
+//! Evaluation sweeps reachable decisions bottom-up in interning order.
+//! Vtree-deep diagrams — Θ(n) deep on the chain families — therefore work
+//! on a default-size thread stack at any variable count.
 //!
 //! **Freeze-and-serve.** [`SddManager::freeze`] turns a finished manager
 //! into an immutable [`FrozenSdd`] — the node table, element arena,
@@ -582,6 +588,16 @@ fn side_decode(c: u32) -> Option<Side> {
 fn pack_lca(l: VtreeNodeId, a_at: Option<Side>, b_at: Option<Side>) -> u32 {
     assert!(l.0 < (1 << 28), "vtree node ids fit the packed lca memo");
     (l.0 << 4) | (side_code(a_at) << 2) | side_code(b_at)
+}
+
+/// Reused buffers of [`SddManager::fold_gate`], one set per
+/// [`SddManager::from_circuit`] call: the gate's operands with the vtree
+/// node each respects, and the merge stack of `(value, vtree node it
+/// sits at, join with the entry below)`.
+#[derive(Default)]
+struct FoldScratch {
+    sorted: Vec<(SddId, VtreeNodeId)>,
+    stack: Vec<(SddId, VtreeNodeId, Option<VtreeNodeId>)>,
 }
 
 /// The next process-unique manager identity (every `SddManager::new` and
@@ -1143,10 +1159,24 @@ impl SddManager {
         r
     }
 
-    /// Compile a circuit bottom-up.
+    /// Compile a circuit bottom-up, gate by gate in topological order.
+    ///
+    /// An And/Or gate's operands are **folded along the vtree**, not left
+    /// to right through one accumulator: they are ordered by the inorder
+    /// position of the vtree node each respects and merged pairwise at
+    /// their vtree lca, deepest lca first (details at `fold_gate`), so
+    /// every intermediate apply combines operands that live close
+    /// together in the vtree. A left fold re-applies an ever-growing
+    /// accumulator against each new operand — on a lineage's wide OR of
+    /// matches that is almost all of the compile work, and none of those
+    /// intermediate SDDs survive in the result. SDDs are canonical, so the
+    /// root is the same node either way; only the intermediate work
+    /// differs. The fold runs on an explicit stack (the crate's depth
+    /// contract): no recursion on the fan-in or on the vtree depth.
     pub fn from_circuit(&mut self, c: &circuit::Circuit) -> SddId {
         use circuit::GateKind;
         let mut val: Vec<SddId> = Vec::with_capacity(c.size());
+        let mut scratch = FoldScratch::default();
         for (_, g) in c.iter() {
             let n = match g {
                 GateKind::Var(v) => self.literal(*v, true),
@@ -1162,25 +1192,98 @@ impl SddManager {
                     self.negate(x)
                 }
                 GateKind::And(xs) => {
-                    let mut acc = TRUE;
-                    for x in xs.iter() {
-                        let xv = val[x.index()];
-                        acc = self.and(acc, xv);
-                    }
-                    acc
+                    self.fold_gate(Op::And, xs.iter().map(|x| val[x.index()]), &mut scratch)
                 }
                 GateKind::Or(xs) => {
-                    let mut acc = FALSE;
-                    for x in xs.iter() {
-                        let xv = val[x.index()];
-                        acc = self.or(acc, xv);
-                    }
-                    acc
+                    self.fold_gate(Op::Or, xs.iter().map(|x| val[x.index()]), &mut scratch)
                 }
             };
             val.push(n);
         }
         val[c.output().index()]
+    }
+
+    /// The vtree-order fold of one n-ary And/Or gate, in O(k log k) for k
+    /// operands plus the applies themselves:
+    ///
+    /// 1. Identity operands (⊤ for And, ⊥ for Or) are dropped; an
+    ///    absorbing one (⊥ for And, ⊤ for Or) — operand or intermediate
+    ///    result — ends the gate at once.
+    /// 2. The rest are stably sorted by `(leaf_position, depth)` of the
+    ///    vtree node each respects: left to right in inorder, an ancestor
+    ///    before the descendants that share its first leaf.
+    /// 3. A stack merges them. In that order, the lca of two adjacent
+    ///    operands is their *join*; the combination tree is the vtree
+    ///    restricted to the operands, built by joining the adjacent pair
+    ///    with the deepest join first (equal joins left to right). Each
+    ///    stack entry keeps the join with the entry below it; joins up the
+    ///    stack lie on one root path and deepen strictly, so an arriving
+    ///    operand first merges every entry pair joined at least as deep as
+    ///    its own join with the top (merging a pair leaves that join
+    ///    unchanged), then is pushed. What remains merges top-down.
+    ///
+    /// No step scans the vtree: lca answers come from the memoized
+    /// [`SddManager::lca_sides`], positions and depths are O(1) lookups.
+    fn fold_gate(
+        &mut self,
+        op: Op,
+        operands: impl Iterator<Item = SddId>,
+        scratch: &mut FoldScratch,
+    ) -> SddId {
+        let (unit, zero) = match op {
+            Op::And => (TRUE, FALSE),
+            Op::Or => (FALSE, TRUE),
+        };
+        let FoldScratch { sorted, stack } = scratch;
+        sorted.clear();
+        stack.clear();
+        for x in operands {
+            if x == zero {
+                return zero;
+            }
+            if x != unit {
+                sorted.push((x, self.respects(x).expect("non-terminal operand")));
+            }
+        }
+        let vt = &*self.vtree;
+        sorted.sort_by_key(|&(_, v)| (vt.leaf_position(v), vt.depth(v)));
+        for &(x, v) in sorted.iter() {
+            let mut join = None;
+            if let Some(&(_, top, _)) = stack.last() {
+                let (g, _, _) = self.lca_sides(top, v);
+                let g_depth = self.vtree.depth(g);
+                while let Some(&(_, _, Some(below))) = stack.last() {
+                    if self.vtree.depth(below) < g_depth {
+                        break;
+                    }
+                    if self.merge_top(op, stack) == zero {
+                        return zero;
+                    }
+                }
+                join = Some(g);
+            }
+            stack.push((x, v, join));
+        }
+        while stack.len() > 1 {
+            if self.merge_top(op, stack) == zero {
+                return zero;
+            }
+        }
+        stack.pop().map_or(unit, |(x, _, _)| x)
+    }
+
+    /// Replace the top two fold-stack entries by their combination, which
+    /// sits at their join and keeps the lower entry's join; returns it.
+    fn merge_top(
+        &mut self,
+        op: Op,
+        stack: &mut Vec<(SddId, VtreeNodeId, Option<VtreeNodeId>)>,
+    ) -> SddId {
+        let (b, _, at) = stack.pop().expect("two fold entries");
+        let (a, _, join) = stack.pop().expect("two fold entries");
+        let r = self.apply_rec(op, a, b, REC_FUEL);
+        stack.push((r, at.expect("an entry above the bottom has a join"), join));
+        r
     }
 
     /// Compile a truth table by Shannon expansion along the vtree leaf order

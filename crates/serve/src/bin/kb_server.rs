@@ -64,8 +64,20 @@ use obs::{MetricsRegistry, MetricsSnapshot};
 use sentential_core::Compiler;
 use serve::{parse_request, ClientHandle, KbServer, Request, PROTOCOL_VERSION};
 use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// Per-connection socket setup: turn Nagle off and split the stream into
+/// a buffered reader and writer. An answer and the `synced` after it can
+/// leave in two writes; with Nagle on, the second waits for the client's
+/// delayed ACK (~40 ms) before it is sent.
+fn open_connection(
+    stream: TcpStream,
+) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    stream.set_nodelay(true)?;
+    Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -329,14 +341,13 @@ fn main() {
                             let boot = Arc::clone(&boot);
                             let quit = quit_tx.clone();
                             std::thread::spawn(move || {
-                                let mut input = BufReader::new(match stream.try_clone() {
-                                    Ok(s) => s,
+                                let (mut input, mut output) = match open_connection(stream) {
+                                    Ok(io) => io,
                                     Err(e) => {
                                         eprintln!("kb-server: {e}");
                                         return;
                                     }
-                                });
-                                let mut output = BufWriter::new(stream);
+                                };
                                 match converse(&mut handle, &kbs, &boot, &mut input, &mut output) {
                                     Ok(true) => eprintln!("kb-server: {peer:?} disconnected"),
                                     Ok(false) => {
@@ -355,5 +366,20 @@ fn main() {
     }
     for s in server.shutdown() {
         eprintln!("{}", s.render());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (input, output) = open_connection(stream).unwrap();
+        assert!(output.get_ref().nodelay().unwrap());
+        assert!(input.get_ref().nodelay().unwrap());
     }
 }

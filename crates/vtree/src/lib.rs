@@ -515,6 +515,16 @@ impl Vtree {
         self.nodes[id.index()].depth
     }
 
+    /// Inorder position of the first leaf below `id`: the index in
+    /// [`Vtree::leaf_order`] where the subtree's contiguous leaf range
+    /// starts. O(1). Sorting nodes by `(leaf_position, depth)` lists them
+    /// left to right with every ancestor before the descendants it shares
+    /// a first leaf with — the order `sdd`'s gate fold merges operands in.
+    #[inline]
+    pub fn leaf_position(&self, id: VtreeNodeId) -> usize {
+        self.nodes[id.index()].leaf_start as usize
+    }
+
     /// The variable set `Y_v` below node `v`, in left-to-right (inorder)
     /// leaf order — a contiguous slice of the shared leaf sequence, so the
     /// arena stays linear-sized on deep vtrees. Wrap in a sorted set type
@@ -786,6 +796,23 @@ mod tests {
         assert_ne!(inner, vt.root());
         assert!(vt.is_descendant(inner, vt.root()));
         assert!(!vt.is_descendant(vt.root(), inner));
+    }
+
+    #[test]
+    fn leaf_position_is_the_first_leaf_of_the_subtree() {
+        let vs = vars(5);
+        for vt in [
+            Vtree::balanced(&vs).unwrap(),
+            Vtree::right_linear(&vs).unwrap(),
+            Vtree::left_linear(&vs).unwrap(),
+        ] {
+            let order = vt.leaf_order();
+            for n in vt.node_ids() {
+                let first = vt.vars_below(n)[0];
+                assert_eq!(order[vt.leaf_position(n)], first);
+            }
+            assert_eq!(vt.leaf_position(vt.root()), 0);
+        }
     }
 
     #[test]
