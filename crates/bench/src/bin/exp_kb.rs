@@ -1,8 +1,9 @@
-//! E14 — the compile-once/serve-many regime: warm `kb::KnowledgeBase`
+//! E14 — the compile-once/serve-many regime: warm `kb::KbSession`
 //! queries vs recompile-per-query.
 //!
-//! For each strategy-matrix CNF family the experiment compiles **one**
-//! knowledge base, then serves a stream of marginal queries where every
+//! For each strategy-matrix CNF family the experiment compiles and freezes
+//! **one** knowledge base, then serves from one session a stream of
+//! marginal queries where every
 //! query first perturbs one variable's weight (so the marginals memo is
 //! really invalidated and each query pays a full two-pass sweep, not a
 //! memoized answer) — against the baseline that recompiles the formula
@@ -11,8 +12,8 @@
 //! warm base, and the run **asserts** the ≥ 10× warm speedup the serving
 //! layer exists for.
 //!
-//! The `batch_size` axis rides along: after the scalar menu, the base is
-//! frozen and the same stream shape (one perturbing literal per query) is
+//! The `batch_size` axis rides along: after the scalar menu, a fresh
+//! session serves the same stream shape (one perturbing literal per query) is
 //! served as evidence-set batches of B = 1 / 8 / 64 lanes through
 //! [`kb::KbSession::marginal_batch`] — the per-lane latency curve that
 //! E19 (`exp_batch`) certifies at the 5× bar.
@@ -85,14 +86,16 @@ fn main() {
     let mut run = |label: &str, n: u32, f: &CnfFormula, compiler: &Compiler| {
         let nv = f.num_vars() as usize;
 
-        // Compile once, weight once: the knowledge base under test.
+        // Compile once, weight once, freeze (the AC unfolds inside the
+        // compile cost): the serving session under test.
         let t0 = Instant::now();
         let mut kb = KnowledgeBase::compile_cnf(compiler, f)
             .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
         for i in 0..nv {
             kb.set_probability(VarId(i as u32), prior(i)).unwrap();
         }
-        let _ = kb.unfolded_size(); // unfold the AC inside the compile cost
+        let frozen = Arc::new(kb.freeze());
+        let mut s = frozen.session();
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Warm stream: perturb one weight, ask one marginal — each query
@@ -102,8 +105,8 @@ fn main() {
         let mut last_warm = 0.0;
         for j in 0..WARM_QUERIES {
             let v = VarId((j % nv) as u32);
-            kb.set_probability(v, perturbed(j)).unwrap();
-            last_warm = black_box(kb.marginal(v).unwrap());
+            s.set_probability(v, perturbed(j)).unwrap();
+            last_warm = black_box(s.marginal(v).unwrap());
         }
         let warm_us = t0.elapsed().as_secs_f64() * 1e6 / WARM_QUERIES as f64;
 
@@ -123,6 +126,7 @@ fn main() {
                 cold.set_probability(VarId((jj % nv) as u32), perturbed(jj))
                     .unwrap();
             }
+            let mut cold = Arc::new(cold.freeze()).session();
             last_cold = black_box(cold.marginal(v).unwrap());
         }
         let recompile_us = t0.elapsed().as_secs_f64() * 1e6 / RECOMPILE_QUERIES as f64;
@@ -145,11 +149,11 @@ fn main() {
 
         // The rest of the query menu on the warm base.
         let t0 = Instant::now();
-        let mpe = kb.mpe().unwrap();
+        let mpe = s.mpe().unwrap();
         let mpe_us = t0.elapsed().as_secs_f64() * 1e6;
         assert!(mpe.log_weight.is_finite());
         let t0 = Instant::now();
-        let top = kb.enumerate_models(5);
+        let top = s.enumerate_models(5);
         let topk_us = t0.elapsed().as_secs_f64() * 1e6;
         assert!(!top.is_empty());
         assert!(
@@ -158,23 +162,22 @@ fn main() {
         );
         let t0 = Instant::now();
         let pivot = VarId(((nv / 2) % nv) as u32);
-        kb.condition(&[(pivot, true)]).unwrap();
-        let conditioned = kb.marginal(pivot).unwrap();
-        kb.retract();
+        s.condition(&[(pivot, true)]).unwrap();
+        let conditioned = s.marginal(pivot).unwrap();
+        s.retract();
         let evidence_us = t0.elapsed().as_secs_f64() * 1e6;
         assert!((conditioned - 1.0).abs() < 1e-9, "pinned marginal is 1");
 
-        let (sdd_size, ac_gates) = (kb.sdd_size(), kb.unfolded_size());
-        // Manager memory after the whole query mix — the committed baseline
-        // for the ROADMAP's manager-GC work (structural queries hash-cons
-        // nodes that are never reclaimed).
-        let mem_bytes = kb.sdd().memory_bytes();
+        let (sdd_size, ac_gates) = (frozen.sdd_size(), frozen.unfolded_size());
+        // Slab memory after the whole query mix: sessions intern no node,
+        // so this is the frozen slab's size.
+        let mem_bytes = frozen.memory_bytes();
 
-        // The batch_size axis: freeze the base and serve the same stream
-        // shape (one perturbing literal per query) as evidence-set batches
-        // — every lane of a batch is one query, answered in a single
-        // lane-parallel up+down sweep.
-        let frozen = Arc::new(kb.freeze());
+        // The batch_size axis: a fresh session (the frozen weights, not the
+        // perturbed ones) serves the same stream shape (one perturbing
+        // literal per query) as evidence-set batches — every lane of a
+        // batch is one query, answered in a single lane-parallel up+down
+        // sweep.
         let mut s = frozen.session();
         let target = VarId((nv / 2) as u32 % nv as u32);
         let stream: Vec<Vec<Lit>> = (0..BATCH_STREAM)

@@ -15,6 +15,7 @@
 //! committed as `BENCH_sdd.json`, diffed by `bench_diff` in CI).
 
 use cnf::{families, CnfFormula};
+use sdd::SddEval;
 use sentential_bench::{maybe_write_json, Record, Table};
 use sentential_core::Compiler;
 use std::hint::black_box;

@@ -43,6 +43,7 @@ use boolfunc::{BoolFn, BoolFnError};
 use circuit::{Circuit, StructureError};
 use graphtw::ExactError;
 use rand::SeedableRng;
+use sdd::SddEval;
 use sdd::{ApplyStats, SddId, SddManager};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -633,7 +634,7 @@ impl Compilation {
     /// Models of the compiled function over the vtree's variables.
     ///
     /// Panics when the count exceeds `u128` (see
-    /// [`sdd::SddManager::count_models`]); use
+    /// [`sdd::SddEval::count_models`]); use
     /// [`Compilation::count_models_exact`] or
     /// [`Compilation::count_models_checked`] on inputs with more than 128
     /// variables.

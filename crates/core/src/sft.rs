@@ -138,6 +138,7 @@ pub fn min_sdw(f: &BoolFn, max_n: usize) -> (usize, Vtree) {
 mod tests {
     use super::*;
     use boolfunc::{families, VarSet};
+    use sdd::SddEval;
     use vtree::VarId;
 
     fn vars(n: u32) -> Vec<VarId> {

@@ -157,7 +157,7 @@ pub fn min_fill_order(g: &Graph) -> EliminationOrder {
 /// have changed are touched:
 ///
 /// * `N(v)` lost `v` and gained fill neighbours, so its members are
-///   re-scored (a degree read, or [`ElimState::fill_count`]).
+///   re-scored (a degree read, or `ElimState::fill_count`).
 /// * Outside `N[v]` degrees and neighbourhoods are unchanged, and the only
 ///   new edges are the fill edges, all inside `N(v)`. A vertex's fill count
 ///   therefore falls by exactly the number of fill edges inside its own

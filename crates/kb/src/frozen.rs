@@ -1,35 +1,26 @@
 //! The frozen serving tier: **one compiled base, many concurrent readers**.
 //!
-//! A [`KnowledgeBase`] owns a mutable [`sdd::SddManager`], so a compiled
-//! base can serve exactly one thread. [`KnowledgeBase::freeze`] converts it
-//! into a [`FrozenKb`] — the read-only serving form built on the immutable
-//! [`FrozenSdd`] slab — which is `Send + Sync` and shared via [`Arc`]:
+//! [`KnowledgeBase::freeze`] turns the builder into a [`FrozenKb`] — the
+//! read-only serving form built on the immutable [`FrozenSdd`] slab —
+//! which is `Send + Sync` and shared via [`Arc`]:
 //!
 //! * [`FrozenKb::session`] hands out a [`KbSession`] per serving thread: a
 //!   thin handle holding private epoch-tagged [`EvalCache`]s over the
-//!   shared slab. Sessions answer the full query menu (`log_weight`,
-//!   `query`, `marginal` / `all_marginals`, `mpe`, `enumerate_models`,
-//!   `entails`, exact `count_models`) **bit-identically** to the mutable
-//!   [`KnowledgeBase`]: the mutable path answers every numeric query by
-//!   evaluating the *unconditioned* root under evidence-pinned weights, and
-//!   a session does exactly that, so the two paths run the same semiring
-//!   operations in the same order.
-//! * Session [`KbSession::condition`] / [`KbSession::retract`] are pure
+//!   shared slab. Sessions are the one query engine: every numeric query
+//!   evaluates the compiled root under evidence-pinned weights, so
+//!   evidence never changes the diagram.
+//! * [`KbSession::condition`] / [`KbSession::retract`] are pure
 //!   weight-space operations (pin the opposing polarity to log 0) — no node
 //!   is ever interned, so any number of sessions condition independently
 //!   over one slab. Structural consistency and entailment come from a third
 //!   cache carrying `(1, 1)` weights with the same pins: its root value is
-//!   `-∞` exactly when the mutable path's restricted root is ⊥. Exact
-//!   counting replaces the mutable path's `count(cond_root) ≫ |pins|` with
-//!   a `Nat` sweep under `(0, 1)`-pinned weights — the same integer.
-//! * [`FrozenKb::branch`] is the copy-on-write escape hatch for work that
-//!   truly needs the apply machinery: it reopens a mutable
-//!   [`KnowledgeBase`] on an overlay manager ([`FrozenSdd::branch`]) that
-//!   interns new nodes *on top of* the shared slab without touching it.
-//!   Branching is cheap on purpose — the arena and node table are not
-//!   copied, and cache weights are replayed only for variables that differ
-//!   from the defaults, so branching a 100k-variable chain does no
-//!   per-variable vtree walks unless weights or evidence demand them.
+//!   `-∞` exactly when no model satisfies the evidence. Exact counting is
+//!   a `Nat` sweep under `(0, 1)`-pinned weights.
+//! * [`FrozenKb::branch`] reopens the builder on an overlay manager
+//!   ([`FrozenSdd::branch`]) that interns new nodes *on top of* the shared
+//!   slab without touching it, carrying the frozen weights and evidence.
+//!   Branching is cheap on purpose: the arena and node table are not
+//!   copied.
 //!
 //! Evidence frozen into the base stays asserted in every session; a
 //! session's own evidence is local to it and [`KbSession::retract`]
@@ -40,7 +31,7 @@ use crate::{stats_sum, KbError, KbProvenance, KbQueryStats, KnowledgeBase, Lit, 
 use arith::{log_sum_exp, BigUint, LogF64, Nat};
 use boolfunc::Assignment;
 use sdd::eval::{EvalCache, EvalCacheStats, EvalLanes};
-use sdd::{ApplyStats, FrozenSdd, SddId};
+use sdd::{FrozenSdd, SddEval, SddId};
 use std::sync::Arc;
 use std::time::Instant;
 use vtree::fxhash::FxHashMap;
@@ -53,10 +44,6 @@ use vtree::VarId;
 pub struct FrozenKb {
     pub(crate) sdd: Arc<FrozenSdd>,
     pub(crate) root: SddId,
-    /// The root restricted by the *frozen* evidence (kept so
-    /// [`FrozenKb::branch`] reopens exactly where the mutable base left
-    /// off — sessions never use it).
-    pub(crate) cond_root: SddId,
     pub(crate) vars: Vec<VarId>,
     pub(crate) var_index: FxHashMap<VarId, usize>,
     pub(crate) weights: FxHashMap<VarId, (f64, f64)>,
@@ -80,37 +67,22 @@ fn frozen_kb_is_send_sync() {
 
 impl KnowledgeBase {
     /// Freeze this knowledge base into its immutable serving form. The
-    /// arithmetic circuit is unfolded first (if it has not been already) so
-    /// every session gets the two-pass queries without a build step; the
-    /// manager's slabs then move into the [`FrozenSdd`] without copying.
-    /// Current weights and evidence are frozen in — sessions start from
-    /// this exact state.
-    pub fn freeze(mut self) -> FrozenKb {
-        self.ensure_ac();
-        let KnowledgeBase {
-            mgr,
-            root,
-            cond_root,
-            vars,
-            var_index,
-            weights,
-            evidence,
-            pinned,
-            ac,
-            provenance,
-            ..
-        } = self;
+    /// arithmetic circuit is unfolded here, so every session gets the
+    /// two-pass queries without a build step; the manager's slabs then
+    /// move into the [`FrozenSdd`] without copying. Current weights and
+    /// evidence are frozen in — sessions start from this exact state.
+    pub fn freeze(self) -> FrozenKb {
+        let ac = Ac::build(&self.mgr, self.root);
         FrozenKb {
-            sdd: Arc::new(mgr.freeze()),
-            root,
-            cond_root,
-            vars,
-            var_index,
-            weights,
-            evidence,
-            pinned,
-            ac: ac.expect("ensure_ac ran above"),
-            provenance,
+            sdd: Arc::new(self.mgr.freeze()),
+            root: self.root,
+            vars: self.vars,
+            var_index: self.var_index,
+            weights: self.weights,
+            evidence: self.evidence,
+            pinned: self.pinned,
+            ac,
+            provenance: self.provenance,
         }
     }
 }
@@ -237,56 +209,32 @@ impl FrozenKb {
         }
     }
 
-    /// Reopen a mutable [`KnowledgeBase`] as a copy-on-write overlay on the
-    /// shared slab: new nodes intern on top of the frozen base without
-    /// touching it, so structural work (apply-based conditioning,
-    /// entailment at scale, further compilation) proceeds per-branch. The
-    /// returned base starts from the frozen weights and evidence;
+    /// Reopen the builder as a copy-on-write overlay on the shared slab:
+    /// new nodes intern on top of the frozen base without touching it.
+    /// The returned builder starts from the frozen weights and evidence and
+    /// can be re-weighted, conditioned further and frozen again;
     /// provenance is [`KbProvenance::Raw`] (the report stays with the
     /// frozen original).
     pub fn branch(&self) -> KnowledgeBase {
-        let mgr = self.sdd.branch();
-        let mut prior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
-        let mut posterior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
-        // Replay only the variables that differ from the (1, 1) default:
-        // each set_weight stamps a leaf-to-root vtree path, and a deep
-        // chain with default weights should branch in O(1) vtree work.
-        for &v in &self.vars {
-            let (wn, wp) = self.weights[&v];
-            if (wn, wp) != (1.0, 1.0) {
-                prior.set_weight(&mgr, v, wn.ln(), wp.ln());
-            }
-            let (ln, lp) = pinned_log_pair(&self.weights, &self.pinned, v);
-            if ln != 0.0 || lp != 0.0 {
-                posterior.set_weight(&mgr, v, ln, lp);
-            }
-        }
         KnowledgeBase {
-            mgr,
+            mgr: self.sdd.branch(),
             root: self.root,
-            cond_root: self.cond_root,
             vars: self.vars.clone(),
             var_index: self.var_index.clone(),
             weights: self.weights.clone(),
             evidence: self.evidence.clone(),
             pinned: self.pinned.clone(),
-            prior,
-            posterior,
-            ac: Some(self.ac.clone()),
-            marginals_memo: None,
             provenance: KbProvenance::Raw,
-            last_query: KbQueryStats::default(),
-            memo_hit_scratch: false,
         }
     }
 }
 
-/// One serving thread's handle on a shared [`FrozenKb`]: private
-/// epoch-tagged evaluation caches (numeric prior/posterior plus the
-/// structural consistency cache), session-local evidence and weights. The
-/// query methods mirror [`KnowledgeBase`]'s signatures and — by running
-/// the identical evaluation in the identical order — return bit-identical
-/// answers.
+/// One serving thread's handle on a shared [`FrozenKb`] — the query
+/// engine: private epoch-tagged evaluation caches (numeric
+/// prior/posterior plus the structural consistency cache), session-local
+/// evidence and weights. Every query takes `&mut self`: answers are cached
+/// (epoch-tagged per-node values, memoized marginals) and every query
+/// snapshots its cost into [`KbSession::last_query`].
 pub struct KbSession {
     kb: Arc<FrozenKb>,
     /// Session-local base weights (start as the frozen table;
@@ -302,10 +250,12 @@ pub struct KbSession {
     /// log W(F ∧ e): evidence-pinned weights.
     posterior: EvalCache<LogF64>,
     /// Weights forced to `(1, 1)`, evidence pins kept: the root value is
-    /// `-∞` exactly when no model satisfies the evidence, reproducing the
-    /// mutable path's `cond_root != ⊥` without interning a single node.
+    /// `-∞` exactly when no model satisfies the evidence — no node is
+    /// interned to find out.
     structural: EvalCache<LogF64>,
-    /// Marginals memo, keyed by the posterior cache's epoch.
+    /// Marginals memo, keyed by the posterior cache's epoch. The
+    /// [`KbError::Inconsistent`] verdict is memoized too — rediscovering
+    /// it per variable would cost a full sweep each time.
     marginals_memo: Option<(u64, Result<Vec<f64>, KbError>)>,
     last_query: KbQueryStats,
     /// Scratch flag queries raise inside [`KbSession::tracked`] when they
@@ -321,6 +271,16 @@ pub struct KbSession {
     /// Telemetry attachment ([`KbSession::attach_obs`]); `None` keeps the
     /// query path free of instrumentation work.
     obs: Option<SessionObs>,
+}
+
+/// One batch's per-lane inputs, from [`KbSession::lane_columns`].
+struct LaneColumns {
+    /// Per lane: the error that poisons it (an unknown evidence variable).
+    lane_err: Vec<Option<KbError>>,
+    /// Per lane: the session pins with the lane's evidence merged in.
+    merged: Vec<FxHashMap<VarId, Option<bool>>>,
+    /// Var-major evidence-adjusted log pairs, `vars.len() × lanes`.
+    cols: Vec<(f64, f64)>,
 }
 
 /// Pre-resolved telemetry handles for one query kind — resolved once per
@@ -394,8 +354,8 @@ impl KbSession {
         &self.kb.vars
     }
 
-    /// Cost of the most recent query (`apply` is always zero: sessions
-    /// never run the apply machinery; `mem_bytes` reports the shared slab).
+    /// Cost of the most recent query (per-query snapshot, not a running
+    /// total — see [`KbQueryStats`]).
     pub fn last_query(&self) -> KbQueryStats {
         self.last_query
     }
@@ -444,10 +404,14 @@ impl KbSession {
     // Evidence (weight-space only — nothing is interned)
     // ------------------------------------------------------------------
 
-    /// Assert evidence literals, mirroring [`KnowledgeBase::condition`]'s
-    /// semantics exactly (accumulating, contradiction detection, the
-    /// [`KbError::Inconsistent`] verdict) — but purely in weight space, so
-    /// concurrent sessions condition independently over one shared slab.
+    /// Assert evidence literals: each `(v, b)` pins `v := b` by zeroing
+    /// `v`'s opposing weight — purely in weight space, so concurrent
+    /// sessions condition independently over one shared slab. Evidence
+    /// accumulates across calls; asserting both polarities of a variable
+    /// makes the session inconsistent, and the call returns
+    /// [`KbError::Inconsistent`] (structurally: a model of weight 0 still
+    /// counts) with the evidence retained — use [`KbSession::retract`] to
+    /// recover.
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
         for &(v, _) in lits {
             if !self.kb.var_index.contains_key(&v) {
@@ -456,15 +420,8 @@ impl KbSession {
         }
         self.tracked(QueryKind::Condition, |s| {
             for &(v, b) in lits {
-                match s.pinned.get(&v).copied() {
-                    Some(Some(prev)) if prev == b => continue, // already pinned
-                    Some(Some(_)) => {
-                        s.pinned.insert(v, None); // both polarities: ⊥
-                    }
-                    Some(None) => continue, // already contradicted
-                    None => {
-                        s.pinned.insert(v, Some(b));
-                    }
+                if !pin(&mut s.pinned, v, b) {
+                    continue;
                 }
                 s.evidence.push((v, b));
                 let (ln, lp) = s.pinned_log_pair(v);
@@ -498,9 +455,11 @@ impl KbSession {
     }
 
     /// Does the formula have a model consistent with the evidence?
-    /// (Structural — weights are ignored, exactly as in
-    /// [`KnowledgeBase::is_consistent`]; `&mut` because the verdict comes
-    /// from the session's structural cache.)
+    /// (Structural: ignores weights — a model whose weight is 0 still
+    /// counts. The numeric queries additionally fail with
+    /// [`KbError::Inconsistent`] when every such model weighs nothing.
+    /// `&mut` because the verdict comes from the session's structural
+    /// cache.)
     pub fn is_consistent(&mut self) -> bool {
         self.tracked(QueryKind::Consistent, |s| s.consistent())
     }
@@ -510,10 +469,12 @@ impl KbSession {
     }
 
     // ------------------------------------------------------------------
-    // Numeric queries (log-space, cached) — mirrors of KnowledgeBase
+    // Numeric queries (log-space, cached)
     // ------------------------------------------------------------------
 
-    /// `ln W(F ∧ e)` — see [`KnowledgeBase::log_weight`].
+    /// `ln W(F ∧ e)`: the log weighted model count under the current
+    /// evidence (`-∞` when inconsistent). The underflow-safe primitive the
+    /// probability queries are ratios of.
     pub fn log_weight(&mut self) -> f64 {
         self.tracked(QueryKind::LogWeight, |s| {
             let _sp = obs::span("eval");
@@ -521,14 +482,14 @@ impl KbSession {
         })
     }
 
-    /// `W(F ∧ e)` in the linear domain — see
-    /// [`KnowledgeBase::weighted_count`].
+    /// `W(F ∧ e)` in the linear domain — underflows to 0 where
+    /// [`KbSession::log_weight`] would not.
     pub fn weighted_count(&mut self) -> f64 {
         self.log_weight().exp()
     }
 
-    /// `P(e) = W(F ∧ e) / W(F)` — see
-    /// [`KnowledgeBase::probability_of_evidence`].
+    /// `P(e) = W(F ∧ e) / W(F)`: how much of the prior weight the evidence
+    /// retained. Errors when the formula itself carries no weight.
     pub fn probability_of_evidence(&mut self) -> Result<f64, KbError> {
         self.tracked(QueryKind::ProbEvidence, |s| {
             let _sp = obs::span("eval");
@@ -541,9 +502,10 @@ impl KbSession {
         })
     }
 
-    /// `P(⋀ lits | F ∧ e)` — see [`KnowledgeBase::query`]. The same
-    /// pin-evaluate-restore dance over the session's private posterior
-    /// cache.
+    /// `P(⋀ lits | F ∧ e)`: the conditional probability of a conjunction
+    /// of literals given the formula and current evidence. Computed by
+    /// temporarily pinning the literals' weights — the epoch cache
+    /// re-evaluates only the affected cones, twice (pin and restore).
     pub fn query(&mut self, lits: &[Lit]) -> Result<f64, KbError> {
         for &(v, _) in lits {
             if !self.kb.var_index.contains_key(&v) {
@@ -666,7 +628,9 @@ impl KbSession {
         })
     }
 
-    /// `P(v = 1 | F ∧ e)` — see [`KnowledgeBase::marginal`].
+    /// `P(v = 1 | F ∧ e)`: one posterior marginal. The first marginal
+    /// after a weight or evidence change runs the two-pass sweep and
+    /// memoizes all of them, so a scan over variables costs one sweep.
     pub fn marginal(&mut self, v: VarId) -> Result<f64, KbError> {
         let i = *self
             .kb
@@ -676,7 +640,8 @@ impl KbSession {
         Ok(self.marginals_table(QueryKind::Marginal)?[i])
     }
 
-    /// All posterior marginals — see [`KnowledgeBase::all_marginals`].
+    /// All posterior marginals `P(v = 1 | F ∧ e)`, in vtree variable
+    /// order, from one upward + downward sweep of the unfolded circuit.
     pub fn all_marginals(&mut self) -> Result<Vec<(VarId, f64)>, KbError> {
         let table = self.marginals_table(QueryKind::AllMarginals)?.clone();
         Ok(self.kb.vars.iter().copied().zip(table).collect())
@@ -739,11 +704,9 @@ impl KbSession {
             .collect()
     }
 
-    /// Shared engine of the batched marginal queries: merge each lane's
-    /// evidence onto a copy of the session pins (the exact
-    /// [`KbSession::condition`] semantics — repeat pins keep, opposing
-    /// pins contradict), build the var-major lane weight columns, and run
-    /// one [`Ac::marginals_lanes`] sweep. Per lane: an unknown evidence
+    /// Shared engine of the batched marginal queries: build the lane
+    /// weight columns ([`KbSession::lane_columns`]) and run one
+    /// [`Ac::marginals_lanes`] sweep. Per lane: an unknown evidence
     /// variable is that lane's error; a `-∞` total (no model under the
     /// merged pins) is `Inconsistent`; otherwise the normalized table, in
     /// vtree variable order.
@@ -758,47 +721,7 @@ impl KbSession {
         let lanes = evidence.len();
         self.tracked(kind, |s| {
             s.lanes_scratch = lanes;
-            let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
-            let mut merged: Vec<FxHashMap<VarId, Option<bool>>> = Vec::with_capacity(lanes);
-            for (l, lits) in evidence.iter().enumerate() {
-                let mut pins = s.pinned.clone();
-                for &(v, b) in lits {
-                    if !s.kb.var_index.contains_key(&v) {
-                        lane_err[l] = Some(KbError::UnknownVariable(v));
-                        break;
-                    }
-                    match pins.get(&v).copied() {
-                        Some(Some(prev)) if prev == b => {}
-                        Some(Some(_)) => {
-                            pins.insert(v, None);
-                        }
-                        Some(None) => {}
-                        None => {
-                            pins.insert(v, Some(b));
-                        }
-                    }
-                }
-                merged.push(pins);
-            }
-            // Var-major lane columns: `cols[i * lanes + l]` is variable
-            // `vars[i]` in lane `l`. Seed every lane with the session's own
-            // pinned pair, then overwrite only the evidence variables —
-            // `pinned_log_pair` is deterministic, so the seeded entries are
-            // bit-identical to evaluating it under the merged pins.
-            let mut cols: Vec<(f64, f64)> = Vec::with_capacity(s.kb.vars.len() * lanes);
-            for &v in &s.kb.vars {
-                let base = pinned_log_pair(&s.weights, &s.pinned, v);
-                cols.extend(std::iter::repeat_n(base, lanes));
-            }
-            for (l, lits) in evidence.iter().enumerate() {
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                for &(v, _) in lits {
-                    let i = s.kb.var_index[&v];
-                    cols[i * lanes + l] = pinned_log_pair(&s.weights, &merged[l], v);
-                }
-            }
+            let LaneColumns { lane_err, cols, .. } = s.lane_columns(evidence);
             let (total, pairs) = {
                 let _sp = obs::span("ac_sweep_lanes");
                 s.kb.ac.marginals_lanes(&LogF64, lanes, &cols)
@@ -822,9 +745,56 @@ impl KbSession {
         })
     }
 
-    /// The most probable explanation — see [`KnowledgeBase::mpe`],
-    /// including the verified witness (satisfies the frozen SDD, agrees
-    /// with every pin, reproduces the maximum weight).
+    /// Merge each lane's evidence onto a copy of the session pins (by
+    /// [`pin`], the [`KbSession::condition`] rule) and lay out the
+    /// var-major lane columns of evidence-adjusted log pairs:
+    /// `cols[i * lanes + l]` is variable `vars[i]` in lane `l`. Every lane
+    /// is seeded with the session's own pinned pair and only its evidence
+    /// variables are overwritten — `pinned_log_pair` is deterministic, so
+    /// the seeded entries are bit-identical to evaluating it under the
+    /// merged pins. An unknown evidence variable is that lane's error.
+    fn lane_columns(&self, evidence: &[Vec<Lit>]) -> LaneColumns {
+        let lanes = evidence.len();
+        let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
+        let mut merged: Vec<FxHashMap<VarId, Option<bool>>> = Vec::with_capacity(lanes);
+        for (l, lits) in evidence.iter().enumerate() {
+            let mut pins = self.pinned.clone();
+            for &(v, b) in lits {
+                if !self.kb.var_index.contains_key(&v) {
+                    lane_err[l] = Some(KbError::UnknownVariable(v));
+                    break;
+                }
+                pin(&mut pins, v, b);
+            }
+            merged.push(pins);
+        }
+        let mut cols: Vec<(f64, f64)> = Vec::with_capacity(self.kb.vars.len() * lanes);
+        for &v in &self.kb.vars {
+            let base = pinned_log_pair(&self.weights, &self.pinned, v);
+            cols.extend(std::iter::repeat_n(base, lanes));
+        }
+        for (l, lits) in evidence.iter().enumerate() {
+            if lane_err[l].is_some() {
+                continue;
+            }
+            for &(v, _) in lits {
+                let i = self.kb.var_index[&v];
+                cols[i * lanes + l] = pinned_log_pair(&self.weights, &merged[l], v);
+            }
+        }
+        LaneColumns {
+            lane_err,
+            merged,
+            cols,
+        }
+    }
+
+    /// The most probable explanation: the model of maximum weight
+    /// consistent with the current evidence, found by a [`arith::MaxPlus`]
+    /// sweep with argmax back-pointers. The witness is **verified** before
+    /// it is returned: it satisfies the compiled SDD, agrees with every
+    /// pin, and its literal weights multiply to the reported maximum (any
+    /// violation is a bug and panics).
     pub fn mpe(&mut self) -> Result<Model, KbError> {
         self.tracked(QueryKind::Mpe, |s| {
             let weights = s.posterior_log_weights();
@@ -875,7 +845,7 @@ impl KbSession {
     /// answers exactly what the scalar loop `condition(&evidence[l]);
     /// mpe(); retract-to-here` would, **bit-identically in both the score
     /// and the decoded witness**, from one lane-parallel [`arith::MaxPlus`]
-    /// sweep ([`Ac::mpe_lanes`] resolves `⊕`-gate ties through the same
+    /// sweep (`Ac::mpe_lanes` resolves `⊕`-gate ties through the same
     /// last-maximal-child rule as the scalar descent). The session's own
     /// pins and memo are untouched. Per lane: an unknown evidence variable
     /// is that lane's error; a `-∞` maximum (no model under the merged
@@ -894,48 +864,11 @@ impl KbSession {
         let lanes = evidence.len();
         self.tracked(QueryKind::MpeBatch, |s| {
             s.lanes_scratch = lanes;
-            // Merge each lane's evidence onto a copy of the session pins —
-            // the exact `condition` semantics (repeat pins keep, opposing
-            // pins contradict), as in the batched marginal queries.
-            let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
-            let mut merged: Vec<FxHashMap<VarId, Option<bool>>> = Vec::with_capacity(lanes);
-            for (l, lits) in evidence.iter().enumerate() {
-                let mut pins = s.pinned.clone();
-                for &(v, b) in lits {
-                    if !s.kb.var_index.contains_key(&v) {
-                        lane_err[l] = Some(KbError::UnknownVariable(v));
-                        break;
-                    }
-                    match pins.get(&v).copied() {
-                        Some(Some(prev)) if prev == b => {}
-                        Some(Some(_)) => {
-                            pins.insert(v, None);
-                        }
-                        Some(None) => {}
-                        None => {
-                            pins.insert(v, Some(b));
-                        }
-                    }
-                }
-                merged.push(pins);
-            }
-            // Var-major lane columns of evidence-adjusted log pairs, seeded
-            // from the session pins and overwritten per evidence variable
-            // (see `marginals_batch_table` for why the seed is exact).
-            let mut cols: Vec<(f64, f64)> = Vec::with_capacity(s.kb.vars.len() * lanes);
-            for &v in &s.kb.vars {
-                let base = pinned_log_pair(&s.weights, &s.pinned, v);
-                cols.extend(std::iter::repeat_n(base, lanes));
-            }
-            for (l, lits) in evidence.iter().enumerate() {
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                for &(v, _) in lits {
-                    let i = s.kb.var_index[&v];
-                    cols[i * lanes + l] = pinned_log_pair(&s.weights, &merged[l], v);
-                }
-            }
+            let LaneColumns {
+                lane_err,
+                merged,
+                cols,
+            } = s.lane_columns(evidence);
             let decoded = {
                 let _sp = obs::span("ac_mpe_lanes");
                 s.kb.ac.mpe_lanes(lanes, &cols)
@@ -1009,7 +942,10 @@ impl KbSession {
         })
     }
 
-    /// The `k` heaviest models — see [`KnowledgeBase::enumerate_models`].
+    /// The `k` heaviest models consistent with the current evidence,
+    /// heaviest first (fewer than `k` when the model set is smaller; empty
+    /// when inconsistent). Each returned model satisfies the SDD —
+    /// determinism guarantees the list has no duplicates.
     pub fn enumerate_models(&mut self, k: usize) -> Vec<Model> {
         self.tracked(QueryKind::TopK, |s| {
             let _sp = obs::span("ac_topk");
@@ -1035,13 +971,14 @@ impl KbSession {
     // Structural queries (weight-free, but still apply-free)
     // ------------------------------------------------------------------
 
-    /// Does `F ∧ e` entail the clause `⋁ lits`? The mutable path
-    /// conditions on the clause's negation through the apply machinery;
-    /// the session pins the negation into its structural cache instead —
-    /// `F ∧ e ∧ ⋀ ¬lit` has no model exactly when the clause is entailed.
-    /// Pin conflicts do the case analysis for free: a clause literal the
-    /// evidence satisfies, or a complementary pair within the clause, zero
-    /// both polarities of that variable, and the count collapses.
+    /// Does `F ∧ e` entail the clause `⋁ lits`? The session pins the
+    /// clause's negation into its structural cache — `F ∧ e ∧ ⋀ ¬lit` has
+    /// no model exactly when the clause is entailed — and restores the
+    /// pins afterwards; no node is interned. Pin conflicts do the case
+    /// analysis for free: a clause literal the evidence satisfies, or a
+    /// complementary pair within the clause, zero both polarities of that
+    /// variable, and the count collapses. An empty clause is entailed
+    /// exactly when the session is inconsistent.
     pub fn entails(&mut self, clause: &[Lit]) -> Result<bool, KbError> {
         for &(v, _) in clause {
             if !self.kb.var_index.contains_key(&v) {
@@ -1071,11 +1008,10 @@ impl KbSession {
         })
     }
 
-    /// The exact number of models of `F ∧ e` over all variables — the
-    /// same integer as [`KnowledgeBase::count_models`], computed as one
-    /// `Nat` sweep of the *unconditioned* root under `(0, 1)`-pinned
-    /// weights (each pinned variable keeps exactly its asserted polarity,
-    /// so no power-of-two correction is needed).
+    /// The exact number of models of `F ∧ e` over all variables
+    /// ([`arith::BigUint`] — no overflow at any size), computed as one
+    /// `Nat` sweep of the compiled root under `(0, 1)`-pinned weights
+    /// (each pinned variable keeps exactly its asserted polarity).
     pub fn count_models(&mut self) -> BigUint {
         self.tracked(QueryKind::Count, |s| {
             let _sp = obs::span("nat_sweep");
@@ -1122,11 +1058,9 @@ impl KbSession {
         self.obs = Some(SessionObs::new(registry, slow));
     }
 
-    /// Run a query body, snapshotting its cost into
-    /// [`KbSession::last_query`] (the shape of the mutable path's
-    /// `tracked`; the apply counters stay zero because sessions never
-    /// intern) and — when telemetry is attached — publishing it under
-    /// `kind` and tracing it for the slow log.
+    /// Run a query body, snapshotting its eval/wall-clock cost into
+    /// [`KbSession::last_query`] and — when telemetry is attached —
+    /// publishing it under `kind` and tracing it for the slow log.
     fn tracked<T>(&mut self, kind: QueryKind, body: impl FnOnce(&mut Self) -> T) -> T {
         let t0 = Instant::now();
         let eval0 = stats_sum(
@@ -1141,7 +1075,6 @@ impl KbSession {
         }
         let out = body(self);
         self.last_query = KbQueryStats {
-            apply: ApplyStats::default(),
             eval: stats_sum(
                 stats_sum(
                     stats_sum(self.prior.stats(), self.posterior.stats()),
@@ -1196,9 +1129,26 @@ impl KbSession {
     }
 }
 
-/// The evidence-adjusted log-weight pair of `v` — the same table as
-/// [`KnowledgeBase`]'s private `pinned_log_pair`, shared by the frozen
-/// forms.
+/// Assert `v := b` on a pin table: a repeat keeps the pin, the opposite
+/// polarity contradicts the variable (`None`), and a contradicted variable
+/// stays contradicted. Returns whether the table changed — the rule every
+/// conditioning path shares (builder, session, and each batch lane).
+pub(crate) fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, v: VarId, b: bool) -> bool {
+    match pinned.get(&v).copied() {
+        Some(Some(prev)) if prev == b => false,
+        Some(None) => false,
+        Some(Some(_)) => {
+            pinned.insert(v, None);
+            true
+        }
+        None => {
+            pinned.insert(v, Some(b));
+            true
+        }
+    }
+}
+
+/// The evidence-adjusted log-weight pair of `v`.
 fn pinned_log_pair(
     weights: &FxHashMap<VarId, (f64, f64)>,
     pinned: &FxHashMap<VarId, Option<bool>>,
@@ -1215,9 +1165,8 @@ fn pinned_log_pair(
 
 /// The *structural* log pair of `v`: weights forced to `(1, 1)` so only
 /// the pins matter. Evaluating the root under this table yields `-∞`
-/// exactly when `F ∧ e` has no model — the weight-space reproduction of
-/// `cond_root == ⊥`.
-fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
+/// exactly when `F ∧ e` has no model.
+pub(crate) fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
     match pinned.get(&v) {
         None => (0.0, 0.0),
         Some(Some(true)) => (f64::NEG_INFINITY, 0.0),
@@ -1237,7 +1186,7 @@ mod tests {
     }
 
     /// `(x0 ∨ x1) ∧ (¬x1 ∨ x2)` with distinct probabilities — the same
-    /// fixture as the mutable layer's tests.
+    /// fixture as the builder's tests in `lib.rs`.
     fn demo_kb() -> KnowledgeBase {
         let f = CnfFormula::from_clauses(
             3,
@@ -1290,101 +1239,15 @@ mod tests {
         assert_eq!(s.last_query().lanes, batch.len());
     }
 
-    /// Every query a session answers must be *bit-identical* to the
-    /// mutable path under the same evidence script — the serving tier's
-    /// core contract.
-    #[test]
-    fn session_answers_are_bit_identical_to_the_mutable_path() {
-        let mut kb = demo_kb();
-        let frozen = Arc::new(demo_kb().freeze());
-        let mut s = frozen.session();
-
-        let scripts: &[&[Lit]] = &[&[], &[(v(1), true)], &[(v(0), false), (v(2), true)]];
-        for script in scripts {
-            kb.retract();
-            s.retract();
-            if !script.is_empty() {
-                assert_eq!(kb.condition(script), s.condition(script));
-            }
-            assert_eq!(kb.log_weight().to_bits(), s.log_weight().to_bits());
-            assert_eq!(
-                kb.probability_of_evidence().map(f64::to_bits),
-                s.probability_of_evidence().map(f64::to_bits)
-            );
-            assert_eq!(
-                kb.query(&[(v(0), true)]).map(f64::to_bits),
-                s.query(&[(v(0), true)]).map(f64::to_bits)
-            );
-            for i in 0..3u32 {
-                assert_eq!(
-                    kb.marginal(v(i)).map(f64::to_bits),
-                    s.marginal(v(i)).map(f64::to_bits),
-                    "marginal x{i} under {script:?}"
-                );
-            }
-            let (km, sm) = (kb.mpe().unwrap(), s.mpe().unwrap());
-            assert_eq!(km.log_weight.to_bits(), sm.log_weight.to_bits());
-            assert_eq!(km.assignment, sm.assignment);
-            let (ke, se) = (kb.enumerate_models(8), s.enumerate_models(8));
-            assert_eq!(ke.len(), se.len());
-            for (a, b) in ke.iter().zip(&se) {
-                assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
-                assert_eq!(a.assignment, b.assignment);
-            }
-            assert_eq!(kb.count_models(), s.count_models());
-            assert_eq!(kb.is_consistent(), s.is_consistent());
-        }
-    }
-
-    #[test]
-    fn session_entailment_matches_the_apply_path() {
-        let mut kb = demo_kb();
-        let frozen = Arc::new(demo_kb().freeze());
-        let mut s = frozen.session();
-        let clauses: &[&[Lit]] = &[
-            &[(v(0), true)],
-            &[(v(0), true), (v(1), true)],
-            &[(v(1), false), (v(2), true)],
-            &[(v(0), true), (v(0), false)],
-            &[(v(2), false), (v(0), true), (v(2), true)],
-            &[(v(0), true), (v(0), true)],
-            &[],
-        ];
-        for clause in clauses {
-            assert_eq!(kb.entails(clause), s.entails(clause), "{clause:?}");
-        }
-        // Under evidence — including clauses touching the evidence var.
-        kb.condition(&[(v(1), true)]).unwrap();
-        s.condition(&[(v(1), true)]).unwrap();
-        let clauses: &[&[Lit]] = &[
-            &[(v(2), true)],
-            &[(v(0), true)],
-            &[(v(1), true)],
-            &[(v(1), true), (v(0), true)],
-            &[(v(1), false), (v(2), true)],
-            &[(v(1), false)],
-            &[(v(1), false), (v(0), true)],
-            &[],
-        ];
-        for clause in clauses {
-            assert_eq!(kb.entails(clause), s.entails(clause), "{clause:?}");
-        }
-        // Contradictory evidence: both paths report it and then entail ⊥.
-        assert_eq!(
-            kb.condition(&[(v(1), false)]),
-            s.condition(&[(v(1), false)])
-        );
-        assert_eq!(kb.entails(&[]), s.entails(&[]));
-        kb.retract();
-        s.retract();
-        assert_eq!(kb.entails(&[]), s.entails(&[]));
-    }
-
+    /// Evidence frozen in by the builder and the same evidence asserted by
+    /// a session are the same pins: bit-identical answers either way.
     #[test]
     fn evidence_frozen_into_the_base_persists_across_session_retract() {
+        let mut plain = Arc::new(demo_kb().freeze()).session();
+        plain.condition(&[(v(2), true)]).unwrap();
+        let expect = plain.log_weight();
         let mut kb = demo_kb();
         kb.condition(&[(v(2), true)]).unwrap();
-        let expect = kb.log_weight();
         let frozen = Arc::new(kb.freeze());
         assert_eq!(frozen.evidence(), &[(v(2), true)]);
         let mut s = frozen.session();
@@ -1397,6 +1260,14 @@ mod tests {
         assert!(s.evidence().is_empty());
     }
 
+    /// A base reopened through `branch`, re-conditioned or re-weighted,
+    /// and frozen again.
+    fn rebranched(frozen: &FrozenKb, edit: impl FnOnce(&mut KnowledgeBase)) -> KbSession {
+        let mut b = frozen.branch();
+        edit(&mut b);
+        Arc::new(b.freeze()).session()
+    }
+
     #[test]
     fn sessions_condition_independently_over_one_slab() {
         let frozen = Arc::new(demo_kb().freeze());
@@ -1404,12 +1275,10 @@ mod tests {
         let mut b = frozen.session();
         a.condition(&[(v(1), true)]).unwrap();
         b.condition(&[(v(1), false)]).unwrap();
-        // Each session sees its own posterior; cross-check via branches of
-        // the mutable path.
-        let mut ka = frozen.branch();
-        ka.condition(&[(v(1), true)]).unwrap();
-        let mut kb2 = frozen.branch();
-        kb2.condition(&[(v(1), false)]).unwrap();
+        // Each session sees its own posterior; cross-check against bases
+        // with the same evidence frozen in through a branch.
+        let mut ka = rebranched(&frozen, |k| k.condition(&[(v(1), true)]).unwrap());
+        let mut kb2 = rebranched(&frozen, |k| k.condition(&[(v(1), false)]).unwrap());
         assert_eq!(a.log_weight().to_bits(), ka.log_weight().to_bits());
         assert_eq!(b.log_weight().to_bits(), kb2.log_weight().to_bits());
         assert_eq!(a.count_models(), ka.count_models());
@@ -1426,10 +1295,9 @@ mod tests {
         assert_ne!(a.log_weight().to_bits(), before.to_bits());
         assert_eq!(b.log_weight().to_bits(), before.to_bits());
         assert_eq!(frozen.weights_of(v(0)), Some((0.7, 0.3)));
-        // And the session's answers match a mutable base given the same
+        // And the session's answers match a base frozen with the same
         // weight change.
-        let mut k = frozen.branch();
-        k.set_probability(v(0), 0.99).unwrap();
+        let mut k = rebranched(&frozen, |k| k.set_probability(v(0), 0.99).unwrap());
         assert_eq!(a.log_weight().to_bits(), k.log_weight().to_bits());
         assert_eq!(
             a.marginal(v(2)).map(f64::to_bits),
@@ -1438,46 +1306,44 @@ mod tests {
     }
 
     #[test]
-    fn branch_reopens_the_full_mutable_query_menu() {
+    fn branch_reopens_the_builder_over_the_shared_slab() {
         let frozen = Arc::new(demo_kb().freeze());
         let mut br = frozen.branch();
-        let mut kb = demo_kb();
-        // Structural conditioning (the apply machinery) works on the
-        // overlay and matches a never-frozen base exactly.
-        assert_eq!(br.condition(&[(v(1), true)]), kb.condition(&[(v(1), true)]));
-        assert_eq!(br.log_weight().to_bits(), kb.log_weight().to_bits());
-        assert_eq!(br.count_models(), kb.count_models());
-        assert_eq!(br.entails(&[(v(2), true)]), kb.entails(&[(v(2), true)]));
+        assert_eq!(br.weights_of(v(1)), frozen.weights_of(v(1)));
+        assert_eq!(br.sdd().num_allocated(), frozen.sdd().num_allocated());
+        // Conditioning the branch pins; the overlay gains no node.
+        br.condition(&[(v(1), true)]).unwrap();
+        assert_eq!(br.sdd().num_allocated(), frozen.sdd().num_allocated());
+        // The branch refreezes (flattening the overlay) and serves what a
+        // session conditioning the original base answers.
+        let mut s = Arc::new(br.freeze()).session();
+        let mut t = frozen.session();
+        t.condition(&[(v(1), true)]).unwrap();
+        assert_eq!(s.log_weight().to_bits(), t.log_weight().to_bits());
+        assert_eq!(s.count_models(), t.count_models());
+        assert_eq!(s.entails(&[(v(2), true)]), t.entails(&[(v(2), true)]));
         assert_eq!(
-            br.marginal(v(0)).map(f64::to_bits),
-            kb.marginal(v(0)).map(f64::to_bits)
+            s.marginal(v(0)).map(f64::to_bits),
+            t.marginal(v(0)).map(f64::to_bits)
         );
-        // The overlay interned the restriction without touching the slab.
-        assert!(br.sdd().num_allocated() >= frozen.sdd().num_allocated());
-        // A branch can itself be frozen (flattening the overlay) and keep
-        // serving.
-        let refrozen = Arc::new(br.freeze());
-        let mut s = refrozen.session();
-        assert_eq!(s.log_weight().to_bits(), kb.log_weight().to_bits());
     }
 
     #[test]
-    fn memory_bytes_parity_with_the_mutable_manager() {
+    fn memory_bytes_parity_with_the_builder_manager() {
         let kb = demo_kb();
-        let mutable = kb.sdd().memory_bytes();
+        let builder = kb.sdd().memory_bytes();
         let frozen = Arc::new(kb.freeze());
         let slab = frozen.memory_bytes();
         assert!(slab > 0);
         // Freezing moves the slabs (exact-length allocations), so the
-        // frozen report never exceeds the mutable one.
+        // frozen report never exceeds the builder's.
         assert!(
-            slab <= mutable,
-            "frozen slab {slab} vs mutable manager {mutable}"
+            slab <= builder,
+            "frozen slab {slab} vs builder manager {builder}"
         );
         let mut s = frozen.session();
         let _ = s.log_weight();
         assert_eq!(s.last_query().mem_bytes, slab);
-        assert_eq!(s.last_query().apply, ApplyStats::default());
     }
 
     /// The memo-hit flag separates the memoized-marginals fast path from a

@@ -2,61 +2,69 @@
 //!
 //! The point of paying for a treewidth-bounded SDD compilation (Bova &
 //! Szeider, PODS'17) is that everything afterwards is polynomial in the
-//! compiled size. Before this crate, the workspace could only exploit that
-//! for one-shot counting; [`KnowledgeBase`] turns a compiled SDD into a
-//! long-lived session answering the full classical query menu without ever
-//! recompiling:
+//! compiled size. This crate turns a compiled SDD into a long-lived
+//! serving base in three steps:
 //!
-//! * [`KnowledgeBase::condition`] — assert evidence literals (SDD
-//!   restriction through the existing apply machinery, plus weight
-//!   pinning), [`KnowledgeBase::retract`] to clear;
-//! * [`KnowledgeBase::marginal`] / [`KnowledgeBase::all_marginals`] —
-//!   posterior marginals of every variable from one two-pass (upward +
-//!   downward) sweep of the unfolded arithmetic circuit;
-//! * [`KnowledgeBase::mpe`] — the most probable explanation under the
-//!   [`arith::MaxPlus`] semiring, with an argmax-decoded, *verified*
-//!   witness assignment;
-//! * [`KnowledgeBase::enumerate_models`] — the top-`k` models by weight;
-//! * [`KnowledgeBase::entails`] — clause entailment by conditioning on the
-//!   clause's negation;
-//! * [`KnowledgeBase::query`] / [`KnowledgeBase::probability_of_evidence`]
-//!   / [`KnowledgeBase::count_models`] — conditional probabilities and
-//!   exact counts under the current evidence.
+//! 1. **Build.** [`KnowledgeBase`] compiles (or adopts) the SDD and holds
+//!    the literal weights ([`KnowledgeBase::set_probability`] /
+//!    [`KnowledgeBase::set_weights`]) and any evidence to freeze in
+//!    ([`KnowledgeBase::condition`]). It answers no queries.
+//! 2. **Freeze.** [`KnowledgeBase::freeze`] unfolds the arithmetic circuit
+//!    and moves the manager into an immutable [`FrozenKb`], `Send + Sync`
+//!    and shared through an `Arc`.
+//! 3. **Serve.** [`FrozenKb::session`] opens a [`KbSession`], the one
+//!    query engine. It answers the whole classical menu without ever
+//!    recompiling or interning a node:
+//!    * [`KbSession::condition`] / [`KbSession::retract`] — evidence as
+//!      weight pinning over the fixed diagram;
+//!    * [`KbSession::marginal`] / [`KbSession::all_marginals`] — posterior
+//!      marginals of every variable from one two-pass (upward + downward)
+//!      sweep of the unfolded arithmetic circuit;
+//!    * [`KbSession::mpe`] — the most probable explanation under the
+//!      [`arith::MaxPlus`] semiring, with an argmax-decoded, *verified*
+//!      witness assignment;
+//!    * [`KbSession::enumerate_models`] — the top-`k` models by weight;
+//!    * [`KbSession::entails`] — clause entailment by pinning the clause's
+//!      negation;
+//!    * [`KbSession::query`] / [`KbSession::probability_of_evidence`] /
+//!      [`KbSession::count_models`] — conditional probabilities and exact
+//!      counts under the current evidence;
+//!    * the `*_batch` forms, which answer many evidence sets in one
+//!      lane-parallel sweep.
 //!
 //! Numeric queries run in log space ([`arith::LogF64`]) so 10k-variable
-//! weighted counts cannot underflow. The weighted-count queries
-//! ([`KnowledgeBase::log_weight`], [`KnowledgeBase::query`],
-//! [`KnowledgeBase::probability_of_evidence`]) go through the epoch-tagged
-//! [`sdd::eval::EvalCache`], so changing one variable's weight (or
-//! asserting one literal of evidence) re-evaluates only the dirty cone of
-//! the diagram; the two-pass queries (marginals, MPE, enumeration) sweep
-//! the unfolded circuit, still linear in its size. Either way the
-//! compilation is paid exactly once — `exp_kb` (E14) measures warm
-//! marginal queries 20–77× faster than recompile-per-query.
+//! weighted counts cannot underflow. The weighted-count queries go through
+//! the epoch-tagged [`sdd::eval::EvalCache`], so changing one variable's
+//! weight (or asserting one literal of evidence) re-evaluates only the
+//! dirty cone of the diagram; the two-pass queries (marginals, MPE,
+//! enumeration) sweep the unfolded circuit, still linear in its size.
+//! Either way the compilation is paid exactly once — `exp_kb` (E14)
+//! measures warm marginal queries 20–77× faster than recompile-per-query.
 //!
-//! **Depth contract:** every engine under this session — compilation,
-//! apply-based conditioning, the cached evaluators, and the circuit
-//! sweeps — is worklist-iterative (explicit heap-allocated stacks), so
-//! sessions over chain-deep diagrams run on a *default-size* thread
-//! stack at any variable count; this crate's own stress test drives a
-//! 100k-variable chain end to end on an ordinary test thread. For such
-//! sizes, compile with `CompilerBuilder::exact_counts(false)`: the
-//! up-front exact `BigUint` count is quadratic at chain scale, and the
-//! serving layer answers counting queries on demand anyway.
+//! **Depth contract:** every engine under a session — compilation, the
+//! cached evaluators, and the circuit sweeps — is worklist-iterative
+//! (explicit heap-allocated stacks), so sessions over chain-deep diagrams
+//! run on a *default-size* thread stack at any variable count; this
+//! crate's own stress test drives a 100k-variable chain end to end on an
+//! ordinary test thread. For such sizes, compile with
+//! `CompilerBuilder::exact_counts(false)`: the up-front exact `BigUint`
+//! count is quadratic at chain scale, and sessions count on demand anyway.
 //!
 //! ```
 //! use kb::KnowledgeBase;
 //! use sentential_core::Compiler;
+//! use std::sync::Arc;
 //! use vtree::VarId;
 //!
 //! let f = cnf::CnfFormula::from_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n").unwrap();
-//! let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
-//! assert_eq!(kb.count_models().to_u128(), Some(4));
+//! let kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
+//! let mut s = Arc::new(kb.freeze()).session();
+//! assert_eq!(s.count_models().to_u128(), Some(4));
 //!
 //! // Condition on x2 and the model set shrinks — no recompilation.
-//! kb.condition(&[(VarId(1), true)]).unwrap();
-//! assert_eq!(kb.count_models().to_u128(), Some(2));
-//! let m = kb.marginal(VarId(2)).unwrap();
+//! s.condition(&[(VarId(1), true)]).unwrap();
+//! assert_eq!(s.count_models().to_u128(), Some(2));
+//! let m = s.marginal(VarId(2)).unwrap();
 //! assert!((m - 1.0).abs() < 1e-12, "x2 is forced by x2's clause");
 //! ```
 
@@ -66,17 +74,18 @@ mod snapshot;
 
 pub use frozen::{FrozenKb, KbSession};
 
-use crate::ac::Ac;
-use arith::{log_sum_exp, BigUint, LogF64};
+use crate::frozen::{pin, structural_log_pair};
+
+use arith::MaxPlus;
 use boolfunc::Assignment;
 use circuit::Circuit;
 use cnf::CnfFormula;
-use sdd::eval::{EvalCache, EvalCacheStats};
-use sdd::{ApplyStats, SddId, SddManager, FALSE};
+use sdd::eval::EvalCacheStats;
+use sdd::{SddEval, SddId, SddManager};
 use sentential_core::compiler::Compilation;
 use sentential_core::{CnfCompilation, CompileError, CompileReport, Compiler, CountReport};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vtree::fxhash::FxHashMap;
 use vtree::VarId;
 
@@ -170,8 +179,8 @@ pub enum KbProvenance {
     Raw,
 }
 
-/// One model, as returned by [`KnowledgeBase::mpe`] and
-/// [`KnowledgeBase::enumerate_models`]: a complete assignment over the
+/// One model, as returned by [`KbSession::mpe`] and
+/// [`KbSession::enumerate_models`]: a complete assignment over the
 /// knowledge base's variables plus its log-weight.
 #[must_use]
 #[derive(Clone, Debug)]
@@ -192,21 +201,18 @@ impl Model {
     }
 }
 
-/// What one knowledge-base query cost, snapshotted per query (counters are
+/// What one session query cost, snapshotted per query (counters are
 /// deltas, not session lifetime totals).
 #[must_use]
 #[derive(Copy, Clone, Debug, Default)]
 pub struct KbQueryStats {
-    /// Apply/cache traffic of the query (conditioning and entailment run
-    /// the apply machinery; weight-only queries leave this at zero).
-    pub apply: ApplyStats,
-    /// Evaluation-cache traffic of the query, over both the prior and the
-    /// evidence-conditioned cache: `recomputed` is the dirty cone in nodes.
+    /// Evaluation-cache traffic of the query, over every cache the session
+    /// keeps (prior, evidence-conditioned, structural) plus a batch
+    /// query's lane evaluator: `recomputed` is the dirty cone in nodes.
     pub eval: EvalCacheStats,
-    /// Estimated resident bytes of the SDD manager *after* the query
-    /// ([`sdd::SddManager::memory_bytes`]) — structural queries hash-cons
-    /// new nodes and never reclaim them, so serving sessions watch this
-    /// grow (the ROADMAP's manager-GC baseline).
+    /// Estimated resident bytes of the frozen slab the session serves
+    /// ([`FrozenKb::memory_bytes`]). Sessions never intern nodes, so this
+    /// stays flat however many queries run.
     pub mem_bytes: usize,
     /// Wall-clock time of the query.
     pub duration: Duration,
@@ -245,7 +251,7 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// Every kind, in [`QueryKind::index`] order.
+    /// Every kind, in `QueryKind::index` order.
     pub const ALL: [QueryKind; 16] = [
         QueryKind::Condition,
         QueryKind::Retract,
@@ -300,25 +306,21 @@ fn stats_sum(a: EvalCacheStats, b: EvalCacheStats) -> EvalCacheStats {
     }
 }
 
-/// A compiled knowledge base: one SDD, one weight table, many queries.
+/// The build step of a knowledge base: one compiled SDD, its weight table,
+/// and the evidence to freeze in. It answers no queries:
+/// [`KnowledgeBase::freeze`] it and open a [`KbSession`].
 ///
 /// Construct from a finished compilation ([`KnowledgeBase::compile`],
 /// [`KnowledgeBase::compile_cnf`], [`KnowledgeBase::from_compilation`],
 /// [`KnowledgeBase::from_cnf_compilation`]) or adopt a raw manager/root
 /// pair ([`KnowledgeBase::new`]). Weights default to `(1, 1)` per variable
-/// — counting semantics, under which `marginal` is the fraction of models
-/// and `mpe` an arbitrary model — and become probabilistic through
-/// [`KnowledgeBase::set_probability`] / [`KnowledgeBase::set_weights`].
-///
-/// All query methods take `&mut self`: answers are cached (epoch-tagged
-/// per-node values, memoized marginals) and every query snapshots its cost
-/// into [`KnowledgeBase::last_query`].
+/// — counting semantics, under which a session's `marginal` is the
+/// fraction of models and `mpe` an arbitrary model — and become
+/// probabilistic through [`KnowledgeBase::set_probability`] /
+/// [`KnowledgeBase::set_weights`].
 pub struct KnowledgeBase {
     mgr: SddManager,
     root: SddId,
-    /// `root` restricted by the current evidence (structural queries:
-    /// entailment, counting, consistency).
-    cond_root: SddId,
     vars: Vec<VarId>,
     var_index: FxHashMap<VarId, usize>,
     /// Linear-domain base weights `(w⁻, w⁺)` per variable.
@@ -328,22 +330,7 @@ pub struct KnowledgeBase {
     /// Pinned polarity per evidence variable; `None` = contradicted (both
     /// polarities asserted).
     pinned: FxHashMap<VarId, Option<bool>>,
-    /// log W(F): the prior partition function, no evidence.
-    prior: EvalCache<LogF64>,
-    /// log W(F ∧ e): evidence-pinned weights.
-    posterior: EvalCache<LogF64>,
-    /// The unfolded arithmetic circuit (built on first two-pass query).
-    ac: Option<Ac>,
-    /// Marginals memo, keyed by the posterior cache's epoch. The
-    /// [`KbError::Inconsistent`] verdict is memoized too — rediscovering
-    /// it per variable would cost a full sweep each time.
-    marginals_memo: Option<(u64, Result<Vec<f64>, KbError>)>,
     provenance: KbProvenance,
-    last_query: KbQueryStats,
-    /// Scratch flag queries raise inside [`KnowledgeBase::tracked`] when
-    /// they answered from the marginals memo (feeds
-    /// [`KbQueryStats::memo_hit`]).
-    memo_hit_scratch: bool,
 }
 
 impl fmt::Debug for KnowledgeBase {
@@ -367,24 +354,15 @@ impl KnowledgeBase {
             .map(|(i, &v)| (v, i))
             .collect::<FxHashMap<_, _>>();
         let weights: FxHashMap<VarId, (f64, f64)> = vars.iter().map(|&v| (v, (1.0, 1.0))).collect();
-        let prior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
-        let posterior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
         KnowledgeBase {
             mgr,
             root,
-            cond_root: root,
             vars,
             var_index,
             weights,
             evidence: Vec::new(),
             pinned: FxHashMap::default(),
-            prior,
-            posterior,
-            ac: None,
-            marginals_memo: None,
             provenance: KbProvenance::Raw,
-            last_query: KbQueryStats::default(),
-            memo_hit_scratch: false,
         }
     }
 
@@ -435,7 +413,7 @@ impl KnowledgeBase {
         &self.mgr
     }
 
-    /// The compiled (unconditioned) root.
+    /// The compiled root.
     pub fn root(&self) -> SddId {
         self.root
     }
@@ -445,22 +423,9 @@ impl KnowledgeBase {
         self.mgr.size(self.root)
     }
 
-    /// Gates in the unfolded arithmetic circuit the two-pass queries sweep
-    /// (built on first use, hence `&mut`).
-    pub fn unfolded_size(&mut self) -> usize {
-        self.ensure_ac();
-        self.ac.as_ref().expect("just ensured").size()
-    }
-
     /// Where the SDD came from, with its compilation report.
     pub fn provenance(&self) -> &KbProvenance {
         &self.provenance
-    }
-
-    /// Cost of the most recent query (per-query snapshot, not a running
-    /// total — see [`KbQueryStats`]).
-    pub fn last_query(&self) -> KbQueryStats {
-        self.last_query
     }
 
     // ------------------------------------------------------------------
@@ -487,9 +452,6 @@ impl KnowledgeBase {
             return Err(KbError::InvalidWeight(v));
         }
         self.weights.insert(v, (neg, pos));
-        self.prior.set_weight(&self.mgr, v, neg.ln(), pos.ln());
-        let (ln, lp) = self.pinned_log_pair(v);
-        self.posterior.set_weight(&self.mgr, v, ln, lp);
         Ok(())
     }
 
@@ -498,377 +460,48 @@ impl KnowledgeBase {
         self.weights.get(&v).copied()
     }
 
-    /// The evidence-adjusted log-weight pair of `v`.
-    fn pinned_log_pair(&self, v: VarId) -> (f64, f64) {
-        let (wn, wp) = self.weights[&v];
-        match self.pinned.get(&v) {
-            None => (wn.ln(), wp.ln()),
-            Some(Some(true)) => (f64::NEG_INFINITY, wp.ln()),
-            Some(Some(false)) => (wn.ln(), f64::NEG_INFINITY),
-            Some(None) => (f64::NEG_INFINITY, f64::NEG_INFINITY),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Evidence
     // ------------------------------------------------------------------
 
-    /// Assert evidence literals: each `(v, b)` pins `v := b`. The SDD is
-    /// restricted through the apply machinery ([`SddManager::condition`])
-    /// for the structural queries, and `v`'s opposing weight is zeroed for
-    /// the numeric ones. Evidence accumulates across calls; asserting both
-    /// polarities of a variable makes the base inconsistent (and the call
-    /// returns [`KbError::Inconsistent`], with the evidence retained — use
-    /// [`KnowledgeBase::retract`] to recover).
+    /// Record evidence literals to freeze in: each `(v, b)` pins `v := b`
+    /// in every session of the frozen base, by [`KbSession::condition`]'s
+    /// rules. Evidence accumulates across calls; asserting both polarities
+    /// of a variable contradicts it. Returns [`KbError::Inconsistent`]
+    /// when no model satisfies the formula and the evidence (structurally:
+    /// a model of weight 0 still counts), with the evidence retained. The
+    /// verdict is one [`MaxPlus`] sweep of the fixed diagram under the
+    /// pins — no apply, no new node.
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
         for &(v, _) in lits {
             if !self.var_index.contains_key(&v) {
                 return Err(KbError::UnknownVariable(v));
             }
         }
-        self.tracked(|kb| {
-            for &(v, b) in lits {
-                match kb.pinned.get(&v).copied() {
-                    Some(Some(prev)) if prev == b => continue, // already pinned
-                    Some(Some(_)) => {
-                        // Both polarities asserted: structurally false.
-                        kb.pinned.insert(v, None);
-                        kb.cond_root = FALSE;
-                    }
-                    Some(None) => continue, // already contradicted
-                    None => {
-                        kb.pinned.insert(v, Some(b));
-                        kb.cond_root = kb.mgr.condition(kb.cond_root, v, b);
-                    }
-                }
-                kb.evidence.push((v, b));
-                let (ln, lp) = kb.pinned_log_pair(v);
-                kb.posterior.set_weight(&kb.mgr, v, ln, lp);
+        for &(v, b) in lits {
+            if pin(&mut self.pinned, v, b) {
+                self.evidence.push((v, b));
             }
-            if kb.is_consistent() {
-                Ok(())
+        }
+        let pinned = &self.pinned;
+        let best = self.mgr.evaluate(self.root, &MaxPlus, |v, pos| {
+            let (sn, sp) = structural_log_pair(pinned, v);
+            if pos {
+                sp
             } else {
-                Err(KbError::Inconsistent)
+                sn
             }
-        })
-    }
-
-    /// Drop all evidence, restoring the unconditioned knowledge base.
-    pub fn retract(&mut self) {
-        self.tracked(|kb| {
-            let pinned: Vec<VarId> = kb.pinned.keys().copied().collect();
-            kb.pinned.clear();
-            for v in pinned {
-                let (ln, lp) = kb.pinned_log_pair(v);
-                kb.posterior.set_weight(&kb.mgr, v, ln, lp);
-            }
-            kb.evidence.clear();
-            kb.cond_root = kb.root;
-        })
+        });
+        if best == f64::NEG_INFINITY {
+            Err(KbError::Inconsistent)
+        } else {
+            Ok(())
+        }
     }
 
     /// The asserted evidence literals, in assertion order.
     pub fn evidence(&self) -> &[Lit] {
         &self.evidence
-    }
-
-    /// Does the formula have a model consistent with the evidence?
-    /// (Structural: ignores weights — a model whose weight is 0 still
-    /// counts. The numeric queries additionally fail with
-    /// [`KbError::Inconsistent`] when every such model weighs nothing.)
-    pub fn is_consistent(&self) -> bool {
-        self.cond_root != FALSE
-    }
-
-    // ------------------------------------------------------------------
-    // Numeric queries (log-space, cached)
-    // ------------------------------------------------------------------
-
-    /// `ln W(F ∧ e)`: the log weighted model count under the current
-    /// evidence (`-∞` when inconsistent). The underflow-safe primitive the
-    /// probability queries are ratios of.
-    pub fn log_weight(&mut self) -> f64 {
-        self.tracked(|kb| kb.posterior.evaluate(&kb.mgr, kb.root))
-    }
-
-    /// `W(F ∧ e)` in the linear domain — underflows to 0 where
-    /// [`KnowledgeBase::log_weight`] would not.
-    pub fn weighted_count(&mut self) -> f64 {
-        self.log_weight().exp()
-    }
-
-    /// `P(e) = W(F ∧ e) / W(F)`: how much of the prior weight the evidence
-    /// retained. Errors when the formula itself carries no weight.
-    pub fn probability_of_evidence(&mut self) -> Result<f64, KbError> {
-        self.tracked(|kb| {
-            let prior = kb.prior.evaluate(&kb.mgr, kb.root);
-            if prior == f64::NEG_INFINITY {
-                return Err(KbError::Inconsistent);
-            }
-            let post = kb.posterior.evaluate(&kb.mgr, kb.root);
-            Ok((post - prior).exp())
-        })
-    }
-
-    /// `P(⋀ lits | F ∧ e)`: the conditional probability of a conjunction
-    /// of literals given the formula and current evidence. Computed by
-    /// temporarily pinning the literals' weights — the epoch cache
-    /// re-evaluates only the affected cones, twice (pin and restore).
-    pub fn query(&mut self, lits: &[Lit]) -> Result<f64, KbError> {
-        for &(v, _) in lits {
-            if !self.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
-        }
-        self.tracked(|kb| {
-            let epoch_before = kb.posterior.epoch();
-            let denom = kb.posterior.evaluate(&kb.mgr, kb.root);
-            if denom == f64::NEG_INFINITY {
-                return Err(KbError::Inconsistent);
-            }
-            let mut saved: Vec<(VarId, (f64, f64))> = Vec::with_capacity(lits.len());
-            for &(v, b) in lits {
-                let (ln, lp) = *kb.posterior.weight(v);
-                saved.push((v, (ln, lp)));
-                let pinned = if b {
-                    (f64::NEG_INFINITY, lp)
-                } else {
-                    (ln, f64::NEG_INFINITY)
-                };
-                kb.posterior.set_weight(&kb.mgr, v, pinned.0, pinned.1);
-            }
-            let numer = kb.posterior.evaluate(&kb.mgr, kb.root);
-            for (v, (ln, lp)) in saved.into_iter().rev() {
-                kb.posterior.set_weight(&kb.mgr, v, ln, lp);
-            }
-            // The pin/restore advanced the epoch but left the weight table
-            // bit-identical: carry a current marginals memo forward so the
-            // next marginal() doesn't redo a full two-pass sweep for
-            // nothing.
-            if let Some((e, _)) = &mut kb.marginals_memo {
-                if *e == epoch_before {
-                    *e = kb.posterior.epoch();
-                }
-            }
-            Ok((numer - denom).exp())
-        })
-    }
-
-    /// `P(v = 1 | F ∧ e)`: one posterior marginal. The first marginal
-    /// after a weight or evidence change runs the two-pass sweep and
-    /// memoizes all of them, so a scan over variables costs one sweep.
-    pub fn marginal(&mut self, v: VarId) -> Result<f64, KbError> {
-        let i = *self.var_index.get(&v).ok_or(KbError::UnknownVariable(v))?;
-        Ok(self.marginals_table()?[i])
-    }
-
-    /// All posterior marginals `P(v = 1 | F ∧ e)`, in vtree variable
-    /// order, from one upward + downward sweep of the unfolded circuit.
-    pub fn all_marginals(&mut self) -> Result<Vec<(VarId, f64)>, KbError> {
-        let table = self.marginals_table()?.clone();
-        Ok(self.vars.iter().copied().zip(table).collect())
-    }
-
-    fn marginals_table(&mut self) -> Result<&Vec<f64>, KbError> {
-        self.ensure_ac();
-        // The whole lookup runs inside tracked() so last_query() reflects
-        // this query even on a memo hit (a hit is simply a cheap query).
-        self.tracked(|kb| {
-            let epoch = kb.posterior.epoch();
-            if matches!(&kb.marginals_memo, Some((e, _)) if *e == epoch) {
-                kb.memo_hit_scratch = true;
-                return;
-            }
-            let weights = kb.posterior_log_weights();
-            let ac = kb.ac.as_ref().expect("ensured above");
-            let (total, pairs) = ac.marginals(&LogF64, &weights);
-            let result = if total == f64::NEG_INFINITY {
-                Err(KbError::Inconsistent)
-            } else {
-                Ok(pairs
-                    .into_iter()
-                    .map(|(mn, mp)| (mp - log_sum_exp(mn, mp)).exp())
-                    .collect::<Vec<f64>>())
-            };
-            kb.marginals_memo = Some((epoch, result));
-        });
-        match &self.marginals_memo.as_ref().expect("just set").1 {
-            Ok(table) => Ok(table),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// The most probable explanation: the model of maximum weight
-    /// consistent with the current evidence, found by a [`arith::MaxPlus`]
-    /// sweep with argmax back-pointers. The witness is **verified** before
-    /// it is returned: it satisfies the compiled SDD, agrees with the
-    /// evidence, and its literal weights multiply to the reported maximum
-    /// (any violation is a bug and panics).
-    pub fn mpe(&mut self) -> Result<Model, KbError> {
-        self.ensure_ac();
-        self.tracked(|kb| {
-            let weights = kb.posterior_log_weights();
-            let ac = kb.ac.as_ref().expect("ensured above");
-            let (best, polarity) = ac.mpe(&weights).ok_or(KbError::Inconsistent)?;
-            let assignment =
-                Assignment::from_pairs(kb.vars.iter().copied().zip(polarity.iter().copied()));
-            // Verification: witness ⊨ F, witness ⊨ e, weight reproduces.
-            assert!(
-                kb.mgr.eval(kb.root, &assignment),
-                "MPE witness must satisfy the compiled SDD"
-            );
-            for &(v, b) in &kb.evidence {
-                assert_eq!(
-                    assignment.get(v),
-                    Some(b),
-                    "MPE witness must agree with the evidence on {v}"
-                );
-            }
-            let recomputed: f64 = kb
-                .vars
-                .iter()
-                .zip(&polarity)
-                .map(|(&v, &b)| {
-                    let (ln, lp) = kb.pinned_log_pair(v);
-                    if b {
-                        lp
-                    } else {
-                        ln
-                    }
-                })
-                .sum();
-            assert!(
-                (recomputed - best).abs() <= 1e-9 * best.abs().max(1.0),
-                "MPE witness weight {recomputed} must reproduce the maximum {best}"
-            );
-            Ok(Model {
-                assignment,
-                log_weight: best,
-            })
-        })
-    }
-
-    /// The `k` heaviest models consistent with the current evidence,
-    /// heaviest first (fewer than `k` when the model set is smaller; empty
-    /// when inconsistent). Each returned model satisfies the SDD —
-    /// determinism guarantees the list has no duplicates.
-    pub fn enumerate_models(&mut self, k: usize) -> Vec<Model> {
-        self.ensure_ac();
-        self.tracked(|kb| {
-            let weights = kb.posterior_log_weights();
-            let ac = kb.ac.as_ref().expect("ensured above");
-            ac.top_k(&weights, k)
-                .into_iter()
-                .map(|(log_weight, polarity)| {
-                    let assignment = Assignment::from_pairs(
-                        kb.vars.iter().copied().zip(polarity.iter().copied()),
-                    );
-                    debug_assert!(kb.mgr.eval(kb.root, &assignment));
-                    Model {
-                        assignment,
-                        log_weight,
-                    }
-                })
-                .collect()
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Structural queries (weight-free)
-    // ------------------------------------------------------------------
-
-    /// Does `F ∧ e` entail the clause `⋁ lits`? Decided by conditioning on
-    /// the clause's negation (every literal flipped) and checking the
-    /// restriction collapsed to ⊥ — pure apply machinery, no weights. An
-    /// empty clause is entailed exactly when the base is inconsistent.
-    ///
-    /// Note: restriction hash-conses new nodes into the manager, and those
-    /// nodes are never reclaimed (the manager has no garbage collection
-    /// yet), so memory grows with the number of structurally *distinct*
-    /// entailment/conditioning queries — repeated queries hit the apply
-    /// cache and allocate nothing. Weight-based queries ([`KnowledgeBase::query`],
-    /// marginals, MPE, enumeration) never allocate nodes.
-    pub fn entails(&mut self, clause: &[Lit]) -> Result<bool, KbError> {
-        for &(v, _) in clause {
-            if !self.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
-        }
-        self.tracked(|kb| {
-            // Restriction on a variable the diagram no longer mentions is
-            // a no-op, so two cases must be resolved *before* conditioning:
-            // a clause literal the evidence satisfies (the pinned variable
-            // was conditioned away), and a complementary pair within the
-            // clause itself (the first restriction eliminates the variable,
-            // silently skipping the second) — both make the clause hold in
-            // every model of `F ∧ e`. Evidence-falsified literals and
-            // duplicate literals contribute nothing.
-            let mut seen: FxHashMap<VarId, bool> = FxHashMap::default();
-            let mut r = kb.cond_root;
-            for &(v, b) in clause {
-                match kb.pinned.get(&v) {
-                    Some(Some(pinned)) if *pinned == b => return Ok(true),
-                    Some(_) => {} // falsified (or contradicted: r is ⊥ anyway)
-                    None => match seen.get(&v) {
-                        Some(&prev) if prev != b => return Ok(true), // v ∨ ¬v
-                        Some(_) => {}                                // duplicate literal
-                        None => {
-                            seen.insert(v, b);
-                            r = kb.mgr.condition(r, v, !b);
-                        }
-                    },
-                }
-            }
-            Ok(r == FALSE)
-        })
-    }
-
-    /// The exact number of models of `F ∧ e` over all variables
-    /// ([`arith::BigUint`] — no overflow at any size).
-    pub fn count_models(&mut self) -> BigUint {
-        self.tracked(|kb| {
-            // The restricted SDD no longer mentions the pinned variables,
-            // so the smoothed count doubles once per pinned variable; shift
-            // those back out. (A contradicted variable means ⊥ anyway.)
-            let raw = kb.mgr.count_models_exact(kb.cond_root);
-            raw.shr(kb.pinned.len())
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
-    /// Unfold the arithmetic circuit on first use (the SDD root never
-    /// changes — evidence enters through weights — so once is enough).
-    fn ensure_ac(&mut self) {
-        if self.ac.is_none() {
-            self.ac = Some(Ac::build(&self.mgr, self.root));
-        }
-    }
-
-    /// Dense evidence-adjusted log-weight table in vtree variable order.
-    fn posterior_log_weights(&self) -> Vec<(f64, f64)> {
-        self.vars.iter().map(|&v| self.pinned_log_pair(v)).collect()
-    }
-
-    /// Run a query body, snapshotting its apply/eval/wall-clock cost into
-    /// [`KnowledgeBase::last_query`].
-    fn tracked<T>(&mut self, body: impl FnOnce(&mut Self) -> T) -> T {
-        let t0 = Instant::now();
-        let apply0 = self.mgr.apply_stats();
-        let eval0 = stats_sum(self.prior.stats(), self.posterior.stats());
-        self.memo_hit_scratch = false;
-        let out = body(self);
-        self.last_query = KbQueryStats {
-            apply: self.mgr.apply_stats().delta_since(apply0),
-            eval: stats_sum(self.prior.stats(), self.posterior.stats()).delta_since(eval0),
-            mem_bytes: self.mgr.memory_bytes(),
-            duration: t0.elapsed(),
-            memo_hit: self.memo_hit_scratch,
-            lanes: 1,
-        };
-        out
     }
 }
 
@@ -876,6 +509,7 @@ impl KnowledgeBase {
 mod tests {
     use super::*;
     use boolfunc::VarSet;
+    use std::sync::Arc;
 
     fn v(i: u32) -> VarId {
         VarId(i)
@@ -897,6 +531,12 @@ mod tests {
             kb.set_probability(v(i as u32), p).unwrap();
         }
         (kb, f, probs)
+    }
+
+    /// A session over the frozen demo base.
+    fn demo_session() -> (KbSession, CnfFormula, Vec<f64>) {
+        let (kb, f, probs) = demo_kb();
+        (Arc::new(kb.freeze()).session(), f, probs)
     }
 
     /// Brute-force `Σ weight` over models of `f ∧ lits` under `probs`.
@@ -923,7 +563,7 @@ mod tests {
 
     #[test]
     fn weighted_count_and_evidence_probability_match_brute_force() {
-        let (mut kb, f, probs) = demo_kb();
+        let (mut kb, f, probs) = demo_session();
         let w = brute_weight(&f, &probs, &[]);
         assert!((kb.weighted_count() - w).abs() < 1e-12);
 
@@ -941,7 +581,7 @@ mod tests {
 
     #[test]
     fn marginals_match_brute_force_with_and_without_evidence() {
-        let (mut kb, f, probs) = demo_kb();
+        let (mut kb, f, probs) = demo_session();
         for &e in &[None, Some((v(0), false))] {
             let evidence: Vec<Lit> = e.into_iter().collect();
             if let Some(lit) = e {
@@ -963,7 +603,7 @@ mod tests {
 
     #[test]
     fn conditional_query_is_a_ratio_of_brute_weights() {
-        let (mut kb, f, probs) = demo_kb();
+        let (mut kb, f, probs) = demo_session();
         kb.condition(&[(v(2), true)]).unwrap();
         let got = kb.query(&[(v(0), true), (v(1), false)]).unwrap();
         let expect = brute_weight(&f, &probs, &[(v(2), true), (v(0), true), (v(1), false)])
@@ -976,7 +616,7 @@ mod tests {
 
     #[test]
     fn mpe_is_the_heaviest_model_and_enumeration_is_sorted_and_complete() {
-        let (mut kb, f, probs) = demo_kb();
+        let (mut kb, f, probs) = demo_session();
         let count = f.count_models_brute() as usize;
         let models = kb.enumerate_models(count + 3);
         assert_eq!(models.len(), count, "every model, nothing else");
@@ -996,7 +636,7 @@ mod tests {
 
     #[test]
     fn mpe_respects_evidence() {
-        let (mut kb, f, _) = demo_kb();
+        let (mut kb, f, _) = demo_session();
         // The globally best model has x1 = 1 (p = 0.6 > 0.4 and it frees
         // x0); force the other branch.
         kb.condition(&[(v(1), false)]).unwrap();
@@ -1012,13 +652,11 @@ mod tests {
 
     #[test]
     fn entailment_by_negation_conditioning() {
-        let (mut kb, _, _) = demo_kb();
+        let (mut kb, _, _) = demo_session();
         // Neither clause variable alone is entailed …
         assert!(!kb.entails(&[(v(0), true)]).unwrap());
         // … but the clauses themselves are, as is any tautological clause
-        // (a complementary pair must short-circuit: conditioning on the
-        // first literal eliminates the variable, so the second restriction
-        // alone would be a silent no-op).
+        // (a complementary pair pins both polarities of its variable).
         assert!(kb.entails(&[(v(0), true), (v(1), true)]).unwrap());
         assert!(kb.entails(&[(v(1), false), (v(2), true)]).unwrap());
         assert!(kb.entails(&[(v(0), true), (v(0), false)]).unwrap());
@@ -1032,8 +670,7 @@ mod tests {
         assert!(kb.entails(&[(v(2), true)]).unwrap());
         assert!(!kb.entails(&[(v(0), true)]).unwrap());
         // Clauses mentioning the evidence variable itself: the asserted
-        // polarity is trivially entailed (the restricted SDD no longer
-        // mentions x1, so this must come from the evidence table) …
+        // polarity is trivially entailed …
         assert!(kb.entails(&[(v(1), true)]).unwrap());
         assert!(kb.entails(&[(v(1), true), (v(0), true)]).unwrap());
         // … and a falsified literal contributes nothing: ¬x1 ∨ x2 reduces
@@ -1051,7 +688,7 @@ mod tests {
 
     #[test]
     fn counts_shift_under_evidence_and_contradiction_is_detected() {
-        let (mut kb, f, _) = demo_kb();
+        let (mut kb, f, _) = demo_session();
         assert_eq!(
             kb.count_models().to_u128(),
             Some(f.count_models_brute() as u128)
@@ -1079,6 +716,46 @@ mod tests {
         );
     }
 
+    /// Builder evidence is pins, not restriction: the verdict comes from a
+    /// sweep of the fixed diagram, the manager gains no node, and the pins
+    /// reach every session of the frozen base.
+    #[test]
+    fn builder_condition_pins_without_interning() {
+        let (mut kb, f, _) = demo_kb();
+        let nodes = kb.sdd().num_allocated();
+        // x0 = x1 = 0 falsifies the first clause without contradicting a
+        // variable: only the sweep can see it.
+        assert_eq!(
+            kb.condition(&[(v(0), false), (v(1), false)]),
+            Err(KbError::Inconsistent)
+        );
+        assert_eq!(kb.evidence(), &[(v(0), false), (v(1), false)]);
+        assert_eq!(
+            kb.sdd().num_allocated(),
+            nodes,
+            "conditioning interns nothing"
+        );
+        let mut s = Arc::new(kb.freeze()).session();
+        assert!(!s.is_consistent());
+        assert!(s.count_models().is_zero());
+
+        let (mut kb, _, _) = demo_kb();
+        kb.condition(&[(v(1), true), (v(1), true)]).unwrap();
+        assert_eq!(kb.evidence(), &[(v(1), true)], "repeats are skipped");
+        assert_eq!(kb.condition(&[(v(1), false)]), Err(KbError::Inconsistent));
+        assert_eq!(kb.evidence(), &[(v(1), true), (v(1), false)]);
+
+        let (mut kb, _, _) = demo_kb();
+        kb.condition(&[(v(1), true)]).unwrap();
+        let mut s = Arc::new(kb.freeze()).session();
+        let vars = VarSet::from_slice(&f.all_vars());
+        let under_e = (0..8u64)
+            .map(|i| Assignment::from_index(&vars, i))
+            .filter(|a| f.eval(a) && a.get(v(1)) == Some(true))
+            .count();
+        assert_eq!(s.count_models().to_u128(), Some(under_e as u128));
+    }
+
     #[test]
     fn unknown_variables_are_rejected() {
         let (mut kb, _, _) = demo_kb();
@@ -1087,39 +764,34 @@ mod tests {
             kb.condition(&[(ghost, true)]),
             Err(KbError::UnknownVariable(ghost))
         );
-        assert_eq!(kb.marginal(ghost), Err(KbError::UnknownVariable(ghost)));
         assert_eq!(
-            kb.entails(&[(ghost, true)]),
+            kb.set_probability(ghost, 0.5),
+            Err(KbError::UnknownVariable(ghost))
+        );
+        let mut s = Arc::new(kb.freeze()).session();
+        assert_eq!(
+            s.condition(&[(ghost, true)]),
+            Err(KbError::UnknownVariable(ghost))
+        );
+        assert_eq!(s.marginal(ghost), Err(KbError::UnknownVariable(ghost)));
+        assert_eq!(
+            s.entails(&[(ghost, true)]),
             Err(KbError::UnknownVariable(ghost))
         );
         assert_eq!(
-            kb.set_probability(ghost, 0.5),
+            s.set_probability(ghost, 0.5),
             Err(KbError::UnknownVariable(ghost))
         );
     }
 
     #[test]
     fn per_query_stats_do_not_accumulate() {
-        let (mut kb, _, _) = demo_kb();
-        let lifetime0 = kb.sdd().apply_stats();
-        assert!(
-            lifetime0.apply_calls > 0,
-            "compilation itself ran the apply machinery"
-        );
+        let (mut kb, _, _) = demo_session();
         kb.condition(&[(v(1), true)]).unwrap();
-        let first = kb.last_query();
-        assert!(
-            first.apply.apply_calls < lifetime0.apply_calls,
-            "per-query apply counters are deltas, not lifetime totals"
-        );
         let _ = kb.weighted_count();
-        let second = kb.last_query();
-        assert_eq!(
-            second.apply.apply_calls, 0,
-            "a pure evaluation must not inherit the conditioning's applies"
-        );
-        assert!(second.eval.lookups >= second.eval.hits);
-        assert!(second.eval.recomputed > 0, "first evaluation is cold");
+        let first = kb.last_query();
+        assert!(first.eval.lookups >= first.eval.hits);
+        assert!(first.eval.recomputed > 0, "first evaluation is cold");
         let _ = kb.weighted_count();
         assert_eq!(
             kb.last_query().eval.recomputed,
@@ -1153,36 +825,36 @@ mod tests {
         );
         // Zero weights are fine (hard evidence by weight).
         kb.set_weights(v(0), 0.0, 1.0).unwrap();
-        assert!((kb.marginal(v(0)).unwrap() - 1.0).abs() < 1e-12);
+        let mut s = Arc::new(kb.freeze()).session();
+        assert!((s.marginal(v(0)).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn query_preserves_the_marginals_memo() {
-        let (mut kb, _, _) = demo_kb();
+        let (mut kb, _, _) = demo_session();
         let before = kb.marginal(v(0)).unwrap();
         let _ = kb.query(&[(v(1), true)]).unwrap();
         // The pin/restore inside query() left the weights identical, so
         // this marginal must be a memo hit (no recomputation at all).
         let after = kb.marginal(v(0)).unwrap();
         assert_eq!(before, after);
+        assert!(kb.last_query().memo_hit, "memo carried across query()");
         assert_eq!(
             kb.last_query().eval.recomputed,
             0,
             "memo carried across query()'s pin/restore"
         );
-        // And a memo hit still snapshots per-query stats (cheap, but
-        // *this* query's): no apply work, tiny duration.
-        assert_eq!(kb.last_query().apply.apply_calls, 0);
     }
 
     #[test]
     fn counting_semantics_by_default() {
         // No weights set: marginal = fraction of models, count semantics.
         let f = CnfFormula::from_clauses(2, vec![vec![(v(0), true), (v(1), true)]]);
-        let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
+        let kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
+        let mut s = Arc::new(kb.freeze()).session();
         // 3 models; x0 true in 2 of them.
-        let m = kb.marginal(v(0)).unwrap();
+        let m = s.marginal(v(0)).unwrap();
         assert!((m - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(kb.count_models().to_u128(), Some(3));
+        assert_eq!(s.count_models().to_u128(), Some(3));
     }
 }

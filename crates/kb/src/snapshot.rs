@@ -7,7 +7,7 @@
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|
-//! | 16  | kbmeta   | `root, cond_root` |
+//! | 16  | kbmeta   | `root`, then a retired root slot (see below) |
 //! | 17  | vars     | the served [`VarId`]s, defining the dense index |
 //! | 18  | weights  | per var in order: `(w⁻, w⁺)` as raw `f64::to_bits` — loads bit-identically |
 //! | 19  | evidence | frozen `(var, polarity)` literals, in assertion order |
@@ -16,6 +16,12 @@
 //! | 22  | ackinds  | one kind byte per AC gate |
 //! | 23  | acgmeta  | per gate: leaf `(var, positive)` or child range `(start, end)` |
 //! | 24  | acchild  | the flat AC child array |
+//!
+//! The second kbmeta slot once held the root restricted by the frozen
+//! evidence. Evidence is now pins over the compiled root, so the slot is
+//! written as `root`; on load it is bounds-checked like `root` and then
+//! ignored, so artifacts that carry a restricted root still load (format
+//! version 1 either way).
 //!
 //! The arithmetic circuit is persisted rather than re-unfolded because the
 //! unfold is a large share of freeze cost at serving scale, and its CSR
@@ -77,7 +83,7 @@ impl FrozenKb {
 
         let mut buf = Vec::with_capacity(8);
         put_u32(&mut buf, self.root.0);
-        put_u32(&mut buf, self.cond_root.0);
+        put_u32(&mut buf, self.root.0); // the retired restricted-root slot
         w.section(TAG_KBMETA, &buf)?;
 
         let mut buf = Vec::with_capacity(self.vars.len() * 4);
@@ -155,9 +161,9 @@ impl FrozenKb {
         let meta = r.take(TAG_KBMETA)?;
         let mut d = Dec::new(&meta, "kbmeta section");
         let root = SddId(d.u32()?);
-        let cond_root = SddId(d.u32()?);
+        let retired = d.u32()?;
         d.done()?;
-        if root.0 as usize >= num_nodes || cond_root.0 as usize >= num_nodes {
+        if root.0 as usize >= num_nodes || retired as usize >= num_nodes {
             return Err(SnapError::Invalid {
                 what: "kb root out of bounds",
             });
@@ -239,7 +245,6 @@ impl FrozenKb {
         Ok(FrozenKb {
             sdd: Arc::new(sdd),
             root,
-            cond_root,
             vars,
             var_index,
             weights,

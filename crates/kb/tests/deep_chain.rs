@@ -4,7 +4,8 @@
 //! variable count, which is exactly where the pre-iterative engines blew
 //! the stack (~10k variables needed a dedicated 256 MB thread). These
 //! tests drive a full knowledge-base session — `compile_cnf` →
-//! `condition` → `all_marginals` → `mpe` → `enumerate_models` — on the
+//! `condition` → `freeze` → `all_marginals` → `mpe` → `enumerate_models` —
+//! on the
 //! harness's **default-size test thread**, at 100k variables, with every
 //! numeric answer checked against an independent O(n) chain-DP oracle;
 //! the same session at small scale is additionally pinned against the
@@ -13,7 +14,9 @@
 use arith::{BigUint, Rational};
 use cnf::families;
 use kb::KnowledgeBase;
+use sdd::SddEval;
 use sentential_core::Compiler;
+use std::sync::Arc;
 use vtree::VarId;
 
 /// Variables the deep test runs (the acceptance bar: ≥ 100k on a default
@@ -130,6 +133,8 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
     }
     let evidence = (VarId(n / 2), true);
     kb.condition(&[evidence]).unwrap();
+    let frozen = Arc::new(kb.freeze());
+    let mut s = frozen.session();
 
     // Oracle weights under the evidence.
     let lw: Vec<(f64, f64)> = (0..n)
@@ -145,15 +150,15 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
     let (log_z, oracle_marginals, oracle_best) = chain_oracle(&lw);
 
     // The serving layer's answers, collected first (queries take &mut).
-    let lnw = kb.log_weight();
-    let marginals = kb.all_marginals().unwrap();
-    let mpe = kb.mpe().unwrap();
-    let top = kb.enumerate_models(3);
+    let lnw = s.log_weight();
+    let marginals = s.all_marginals().unwrap();
+    let mpe = s.mpe().unwrap();
+    let top = s.enumerate_models(3);
 
     // Exact rational anchor: the same session weights as exact rationals,
     // prior(i) = 0.15 + 0.07·((13i) mod 10) = (15 + 7·((13i) mod 10))/100.
-    let compiled = kb.sdd();
-    let root = kb.root();
+    let compiled = frozen.sdd();
+    let root = frozen.root();
     let p_rat = |i: u32| {
         Rational::from_ratio(
             BigUint::from_u64(15 + 7 * ((i as u64 * 13) % 10)),
@@ -253,7 +258,8 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     }
     let evidence = (VarId(n / 2), true);
     kb.condition(&[evidence]).unwrap();
-    assert!(kb.is_consistent());
+    let mut s = Arc::new(kb.freeze()).session();
+    assert!(s.is_consistent());
 
     // The oracle's weight table under the same session state.
     let lw: Vec<(f64, f64)> = (0..n)
@@ -274,7 +280,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     let (log_z, oracle_marginals, oracle_best) = chain_oracle(&lw);
 
     // Weighted count of the conditioned session, in log space.
-    let lnw = kb.log_weight();
+    let lnw = s.log_weight();
     assert!(lnw.is_finite());
     assert!(
         (lnw - log_z).abs() < 1e-6 * log_z.abs().max(1.0),
@@ -282,7 +288,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     );
 
     // All 100k posterior marginals in one two-pass sweep.
-    let marginals = kb.all_marginals().unwrap();
+    let marginals = s.all_marginals().unwrap();
     assert_eq!(marginals.len(), n as usize);
     let pinned_idx = (n / 2) as usize;
     assert!(
@@ -302,7 +308,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     // MPE: the argmax sweep plus its internally verified witness (the
     // witness is checked against the compiled SDD, the evidence, and its
     // own weight inside mpe()).
-    let mpe = kb.mpe().unwrap();
+    let mpe = s.mpe().unwrap();
     assert!(
         (mpe.log_weight - oracle_best).abs() < 1e-6 * oracle_best.abs().max(1.0),
         "mpe {} vs oracle {oracle_best}",
@@ -312,7 +318,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     assert!(f.eval(&mpe.assignment), "MPE witness satisfies the formula");
 
     // Top-k enumeration at depth: distinct models, sorted, top-1 = MPE.
-    let top = kb.enumerate_models(2);
+    let top = s.enumerate_models(2);
     assert_eq!(top.len(), 2);
     assert!(
         (top[0].log_weight - mpe.log_weight).abs() < 1e-9,
@@ -326,11 +332,11 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     assert!(f.eval(&top[1].assignment));
 }
 
-/// The frozen half of the acceptance bar: the same 100k-variable chain
-/// session served through `freeze()` → `FrozenKb::session()` on the
-/// default test thread, every answer **bit-identical** to the mutable
-/// path captured just before the freeze, plus a copy-on-write `branch()`
-/// driving the overlay apply machinery at full depth.
+/// The frozen half of the acceptance bar: at 100k variables, evidence
+/// frozen into the base (through a `branch` of the shared slab) and the
+/// same evidence asserted by a session are the same pins, so every answer
+/// is **bit-identical** either way; session-local evidence on top of the
+/// frozen baseline retracts back to it. All on the default test thread.
 #[test]
 fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     let n = DEEP_N;
@@ -340,16 +346,23 @@ fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
     }
-    kb.condition(&[(VarId(n / 2), true)]).unwrap();
+    let plain = Arc::new(kb.freeze());
+    let evidence = (VarId(n / 2), true);
 
-    // The mutable path's answers, captured before the freeze consumes it…
-    let lnw = kb.log_weight();
-    let marginals = kb.all_marginals().unwrap();
-    let mpe = kb.mpe().unwrap();
+    // Evidence asserted by a session over the plain base…
+    let mut a = plain.session();
+    a.condition(&[evidence]).unwrap();
+    let lnw = a.log_weight();
+    let marginals = a.all_marginals().unwrap();
+    let mpe = a.mpe().unwrap();
 
-    // …must reappear bit-for-bit through the frozen slab.
-    let frozen = std::sync::Arc::new(kb.freeze());
-    let mut s = frozen.session();
+    // …and frozen in through a copy-on-write branch: same answers, bit
+    // for bit.
+    let mut branch = plain.branch();
+    branch.condition(&[evidence]).unwrap();
+    assert_eq!(branch.sdd().num_allocated(), plain.sdd().num_allocated());
+    let pinned = Arc::new(branch.freeze());
+    let mut s = pinned.session();
     assert_eq!(s.log_weight().to_bits(), lnw.to_bits());
     let frozen_marginals = s.all_marginals().unwrap();
     assert_eq!(frozen_marginals.len(), marginals.len());
@@ -366,21 +379,15 @@ fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     let posterior = s.query(&[extra]).unwrap();
     s.condition(&[extra]).unwrap();
     assert!(s.is_consistent());
-    assert!(s.log_weight().is_finite());
+    a.condition(&[extra]).unwrap();
+    let both = s.log_weight();
+    assert_eq!(both.to_bits(), a.log_weight().to_bits());
+    assert!(
+        (posterior - (both - lnw).exp()).abs() < 1e-9,
+        "session query {posterior} vs conditioned ratio"
+    );
     s.retract();
     assert_eq!(s.log_weight().to_bits(), lnw.to_bits());
-
-    // Copy-on-write branch: the mutable apply machinery over the overlay
-    // manager, still on the default stack, agreeing with the session's
-    // weight-space answer for the same evidence.
-    let mut branch = frozen.branch();
-    branch.condition(&[extra]).unwrap();
-    assert!(branch.is_consistent());
-    let branch_posterior = (branch.log_weight() - lnw).exp();
-    assert!(
-        (posterior - branch_posterior).abs() < 1e-9,
-        "session query {posterior} vs branch posterior {branch_posterior}"
-    );
 }
 
 /// The batched half of the acceptance bar: a full B = 16 evidence batch

@@ -1,13 +1,14 @@
 //! Concurrent-read stress: 8 threads over one frozen slab, every answer
-//! cross-checked **bit-for-bit** against the sequential mutable engine.
+//! cross-checked **bit-for-bit** against one sequential session.
 //!
 //! Each thread opens its own [`kb::KbSession`] on a shared
 //! [`kb::FrozenKb`], asserts a thread-specific evidence script, runs the
 //! full query menu, retracts, and repeats — while seven other threads do
 //! the same with *different* evidence over the very same `Arc`'d slab.
-//! The expected answers are computed up front on a sequential
-//! [`kb::KnowledgeBase`] running the identical scripts; every float is
-//! compared by bit pattern, every count by exact `BigUint` equality.
+//! The expected answers are computed up front by one sequential session
+//! (over a separately compiled copy of the base) running every thread's
+//! script in turn; every float is compared by bit pattern, every count by
+//! exact `BigUint` equality.
 //! This is the concurrency half of the freeze-and-serve contract (the
 //! compile-time `Send + Sync` half is asserted inside the crates).
 
@@ -60,35 +61,8 @@ struct Answers {
     entailed: bool,
 }
 
-/// The query menu under `evidence`, on the sequential mutable engine.
-fn answers_mut(kb: &mut KnowledgeBase, evidence: &[Lit], n: u32) -> Answers {
-    kb.condition(evidence).expect("scripts are consistent");
-    let out = Answers {
-        consistent: kb.is_consistent(),
-        log_weight: kb.log_weight().to_bits(),
-        prob_evidence: kb.probability_of_evidence().unwrap().to_bits(),
-        query: kb.query(&[(VarId(n - 1), true)]).unwrap().to_bits(),
-        marginals: kb
-            .all_marginals()
-            .unwrap()
-            .into_iter()
-            .map(|(_, m)| m.to_bits())
-            .collect(),
-        mpe_log_weight: kb.mpe().unwrap().log_weight.to_bits(),
-        mpe_bits: {
-            let m = kb.mpe().unwrap();
-            (0..n)
-                .map(|i| m.assignment.get(VarId(i)) == Some(true))
-                .collect()
-        },
-        count: kb.count_models(),
-        entailed: kb.entails(&[(VarId(0), true), (VarId(1), true)]).unwrap(),
-    };
-    kb.retract();
-    out
-}
-
-/// The same menu on a frozen session — same call sequence, same order.
+/// The query menu under `evidence` on one session — the same call
+/// sequence for the sequential oracle and every thread.
 fn answers_session(s: &mut KbSession, evidence: &[Lit], n: u32) -> Answers {
     s.condition(evidence).expect("scripts are consistent");
     let out = Answers {
@@ -124,10 +98,10 @@ fn eight_threads_over_one_slab_match_the_sequential_engine() {
     ];
     for (label, f) in &fixtures {
         let n = f.num_vars();
-        // Sequential oracle: the mutable engine runs every thread's script.
-        let mut seq = build(f);
+        // Sequential oracle: one session runs every thread's script.
+        let mut seq = Arc::new(build(f).freeze()).session();
         let expected: Vec<Answers> = (0..THREADS)
-            .map(|t| answers_mut(&mut seq, &script(t, n), n))
+            .map(|t| answers_session(&mut seq, &script(t, n), n))
             .collect();
 
         // 8 threads, one shared slab, private sessions — repeated rounds
@@ -143,7 +117,7 @@ fn eight_threads_over_one_slab_match_the_sequential_engine() {
                         let got = answers_session(&mut s, &ev, n);
                         assert_eq!(
                             &got, want,
-                            "{label}: thread {t} round {round} diverged from the sequential engine"
+                            "{label}: thread {t} round {round} diverged from the sequential session"
                         );
                     }
                 });

@@ -1,16 +1,19 @@
 //! Property tests for the knowledge-base serving layer (via the workspace
-//! proptest shim): every KB query is pinned against brute-force
-//! enumeration on kernel-sized random formulas, and the log-space carrier
+//! proptest shim): every session query is pinned against brute-force
+//! enumeration on kernel-sized random formulas, the structural queries
+//! against the apply engine's restriction, and the log-space carrier
 //! against the exact rational engine on the chain families.
 
-use arith::{LogF64, Rational};
+use arith::{BigUint, LogF64, Rational};
 use boolfunc::Assignment;
 use cnf::{families, CnfFormula};
 use kb::{FrozenKb, KbError, KnowledgeBase, Lit};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sdd::{SddEval, SddId, SddManager, FALSE};
 use sentential_core::Compiler;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vtree::VarId;
 
@@ -47,12 +50,12 @@ fn random_instance(n: u32, m: usize, seed: u64) -> (CnfFormula, Vec<f64>) {
     (f, probs)
 }
 
-fn kb_of(f: &CnfFormula, probs: &[f64]) -> KnowledgeBase {
+fn frozen_of(f: &CnfFormula, probs: &[f64]) -> Arc<FrozenKb> {
     let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), f).expect("compiles");
     for (i, &p) in probs.iter().enumerate() {
         kb.set_probability(VarId(i as u32), p).unwrap();
     }
-    kb
+    Arc::new(kb.freeze())
 }
 
 /// Weight of one complete assignment (bit `i` = variable `i`) under
@@ -110,7 +113,7 @@ proptest! {
     #[test]
     fn mpe_matches_brute_force(n in 2u32..=16, m in 0usize..20, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut kb = frozen_of(&f, &probs).session();
         let models = brute_models(&f, &probs, &[]);
         match kb.mpe() {
             Err(KbError::Inconsistent) => prop_assert!(models.is_empty(), "KB says unsat"),
@@ -136,7 +139,7 @@ proptest! {
     #[test]
     fn marginals_match_brute_force(n in 2u32..=16, m in 0usize..20, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut kb = frozen_of(&f, &probs).session();
         let models = brute_models(&f, &probs, &[]);
         let total: f64 = models.iter().map(|(_, w)| w).sum();
         match kb.all_marginals() {
@@ -167,7 +170,7 @@ proptest! {
     #[test]
     fn enumeration_is_the_sorted_brute_force_prefix(n in 2u32..=12, m in 0usize..16, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut kb = frozen_of(&f, &probs).session();
         let mut models = brute_models(&f, &probs, &[]);
         models.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         let k = models.len().min(9) + 2;
@@ -197,12 +200,12 @@ proptest! {
     }
 
     /// The chain rule on the serving layer: P(q ∧ e) = P(q | e) · P(e),
-    /// with P(q | e) read off a *conditioned* KB and both other factors
-    /// off the unconditioned one.
+    /// with P(q | e) read off a *conditioned* session and both other
+    /// factors off the unconditioned one.
     #[test]
     fn condition_then_count_is_consistent(n in 3u32..=14, m in 0usize..18, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut kb = frozen_of(&f, &probs).session();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xE51D);
         let ev = (VarId(rng.gen_range(0..n)), rng.gen_bool(0.5));
         let qv = VarId((ev.0 .0 + 1 + rng.gen_range(0..n - 1)) % n);
@@ -243,6 +246,118 @@ proptest! {
         let total: f64 = brute_models(&f, &probs, &[]).iter().map(|(_, w)| w).sum();
         let joint: f64 = brute_models(&f, &probs, &[q, ev]).iter().map(|(_, w)| w).sum();
         prop_assert!((p_q_and_e - joint / total).abs() < 1e-9);
+    }
+}
+
+/// The apply engine as the oracle for the structural queries: the
+/// compiled root restricted with [`SddManager::condition`] and counted with
+/// `count_models_exact`. A literal set is deduplicated before restricting
+/// (restriction on a variable the diagram no longer mentions is a no-op,
+/// so each variable is restricted once), and a complementary pair is ⊥
+/// outright.
+struct ApplyOracle {
+    mgr: SddManager,
+    root: SddId,
+}
+
+impl ApplyOracle {
+    fn new(f: &CnfFormula) -> ApplyOracle {
+        let c = Compiler::new().compile_cnf(f).expect("compiles");
+        ApplyOracle {
+            mgr: c.sdd,
+            root: c.root,
+        }
+    }
+
+    /// The root restricted by the conjunction of `lits`, and how many
+    /// distinct variables the restriction removed.
+    fn restrict(&mut self, lits: &[Lit]) -> (SddId, usize) {
+        let mut set: HashMap<VarId, bool> = HashMap::new();
+        for &(v, b) in lits {
+            if set.insert(v, b).is_some_and(|prev| prev != b) {
+                return (FALSE, 0);
+            }
+        }
+        let mut r = self.root;
+        for (&v, &b) in &set {
+            r = self.mgr.condition(r, v, b);
+        }
+        (r, set.len())
+    }
+
+    /// Models of `F ∧ ⋀ evidence` over all variables: the restricted
+    /// diagram no longer mentions the pinned variables, so its smoothed
+    /// count doubles once per pinned variable.
+    fn count(&mut self, evidence: &[Lit]) -> BigUint {
+        let (r, pinned) = self.restrict(evidence);
+        self.mgr.count_models_exact(r).shr(pinned)
+    }
+
+    /// `F ∧ ⋀ evidence ⊨ ⋁ clause`: `F ∧ evidence ∧ ¬clause` restricts
+    /// to ⊥.
+    fn entails(&mut self, evidence: &[Lit], clause: &[Lit]) -> bool {
+        let mut lits = evidence.to_vec();
+        lits.extend(clause.iter().map(|&(v, b)| (v, !b)));
+        self.restrict(&lits).0 == FALSE
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Session `condition` / `is_consistent` / `count_models` / `entails`
+    /// (weight pinning over the fixed diagram) agree with the apply
+    /// engine's restriction on random CNFs under random evidence (repeated
+    /// and contradicted literals included), and so does the builder's
+    /// `condition` verdict. Besides a random clause,
+    /// every case asks a clause the evidence satisfies, one it falsifies,
+    /// one with a complementary pair, one with a duplicated literal, and
+    /// the empty clause.
+    #[test]
+    fn structural_queries_match_the_apply_oracle(n in 2u32..=14, m in 0usize..18, seed: u64) {
+        let (f, probs) = random_instance(n, m, seed);
+        let frozen = frozen_of(&f, &probs);
+        let mut oracle = ApplyOracle::new(&f);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x57AC);
+        let lit = |rng: &mut StdRng| (VarId(rng.gen_range(0..n)), rng.gen_bool(0.5));
+        let mut evidence: Vec<Lit> = (0..rng.gen_range(0..=3usize)).map(|_| lit(&mut rng)).collect();
+        // Repeat or contradict an evidence literal in half the cases.
+        if let Some(&(v, b)) = evidence.first() {
+            match rng.gen_range(0..4u32) {
+                0 => evidence.push((v, b)),
+                1 => evidence.push((v, !b)),
+                _ => {}
+            }
+        }
+
+        let mut s = frozen.session();
+        let verdict = s.condition(&evidence);
+        let count = oracle.count(&evidence);
+        let expect = if count.is_zero() { Err(KbError::Inconsistent) } else { Ok(()) };
+        prop_assert_eq!(verdict.clone(), expect, "session verdict under {:?}", evidence);
+        prop_assert_eq!(frozen.branch().condition(&evidence), verdict, "builder verdict");
+        prop_assert_eq!(s.is_consistent(), !count.is_zero());
+        prop_assert_eq!(s.count_models(), count);
+
+        let random: Vec<Lit> = (0..rng.gen_range(1..=3usize)).map(|_| lit(&mut rng)).collect();
+        let (v, b) = random[0];
+        let mut clauses = vec![
+            Vec::new(),
+            random.clone(),
+            vec![(v, b), lit(&mut rng), (v, !b)], // complementary pair
+            [&random[..], &random[..]].concat(),  // every literal duplicated
+        ];
+        if let Some(&(ev, eb)) = evidence.first() {
+            clauses.push([&random[..], &[(ev, eb)]].concat()); // evidence-satisfied
+            clauses.push([&random[..], &[(ev, !eb)]].concat()); // evidence-falsified
+        }
+        for c in &clauses {
+            prop_assert_eq!(
+                s.entails(c),
+                Ok(oracle.entails(&evidence, c)),
+                "clause {:?} under {:?}", c, evidence
+            );
+        }
     }
 }
 
@@ -294,7 +409,7 @@ proptest! {
         n in 2u32..=16, m in 0usize..20, seed: u64
     ) {
         let (f, probs) = random_instance(n, m, seed);
-        let frozen = Arc::new(kb_of(&f, &probs).freeze());
+        let frozen = frozen_of(&f, &probs);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
         let lanes = rng.gen_range(1..=9usize);
         let batch = random_batch(n, lanes, &mut rng);
@@ -381,7 +496,7 @@ proptest! {
         n in 2u32..=16, m in 0usize..20, seed: u64
     ) {
         let (f, probs) = random_instance(n, m, seed);
-        let frozen = Arc::new(kb_of(&f, &probs).freeze());
+        let frozen = frozen_of(&f, &probs);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x3A9E);
         let lanes = rng.gen_range(1..=9usize);
         let batch = random_batch(n, lanes, &mut rng);
@@ -449,7 +564,7 @@ fn batched_answers_match_the_scalar_loop_on_chains_and_bands() {
         let probs: Vec<f64> = (0..n)
             .map(|i| 0.1 + 0.8 * ((i * 7) % 11) as f64 / 11.0)
             .collect();
-        let frozen = Arc::new(kb_of(&f, &probs).freeze());
+        let frozen = frozen_of(&f, &probs);
         let target = VarId(n / 2);
         let batch: Vec<Vec<Lit>> = (0..16)
             .map(|j| vec![(VarId(j as u32 % n), j % 2 == 0)])

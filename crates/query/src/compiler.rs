@@ -185,8 +185,9 @@ impl QueryCompiler {
     /// world where the query holds"), and top-k world enumeration for free
     /// — repeated queries never recompile the lineage.
     ///
-    /// The knowledge base's `log_weight` is `ln P(Q)`; conditioning on
-    /// tuples and re-reading it answers `P(Q | evidence)` directly.
+    /// Frozen into a session, its `log_weight` is `ln P(Q)`; conditioning
+    /// on tuples and re-reading it answers `P(Q ∧ evidence)`, and
+    /// `probability_of_evidence` answers `P(evidence | Q)`.
     ///
     /// Errors with [`QueryCompileError::ConstantLineage`] when no tuple
     /// influences the query (nothing to serve — the probability is 0 or 1).
@@ -277,13 +278,14 @@ mod tests {
     fn knowledge_base_serves_the_lineage_without_recompiling() {
         let (q, db) = hierarchical_db();
         let brute = prob::brute_force_probability(&q, &db);
-        let mut base = QueryCompiler::new().knowledge_base(&q, &db).unwrap();
+        let base = QueryCompiler::new().knowledge_base(&q, &db).unwrap();
+        let t = base.vars()[0];
+        let mut base = std::sync::Arc::new(base.freeze()).session();
         // ln W(lineage) = ln P(Q).
         assert!((base.weighted_count() - brute).abs() < 1e-10);
 
         // Condition on the first tuple being present: compare against the
         // brute-force P(Q ∧ t) over all worlds containing t.
-        let t = base.vars()[0];
         let brute_with_t = {
             use crate::schema::TupleId;
             let n = db.num_tuples();

@@ -23,6 +23,7 @@ use crate::ast::{Cq, Ucq};
 use crate::eval::ucq_holds;
 use crate::lineage::lineage_circuit;
 use crate::schema::{Database, TupleId};
+use sdd::SddEval;
 use vtree::fxhash::FxHashMap;
 use vtree::VarId;
 
@@ -98,7 +99,7 @@ pub fn probability_via_sdd(q: &Ucq, db: &Database) -> f64 {
 
 /// The exact route: the same balanced-vtree SDD as
 /// [`probability_via_sdd`], evaluated in the `Rational` semiring
-/// (`sdd::SddManager::probability_exact`). Every `f64` tuple probability is
+/// (`sdd::SddEval::probability_exact`). Every `f64` tuple probability is
 /// a dyadic rational, so `Rational::from_f64` embeds the database exactly
 /// and the result is the *true* probability of the specified database —
 /// no rounding anywhere on the route.

@@ -8,20 +8,19 @@
 //! smoothing**: a variable of the enclosing vtree scope that a node does not
 //! mention contributes the factor `w(¬v) ⊕ w(v)`.
 //!
-//! [`SddManager::evaluate`] implements that engine once, division-free
+//! [`SddEval::evaluate`] implements that engine once, division-free
 //! (smoothing factors come from walking the vtree, never from dividing them
-//! back out, so it works in any semiring). The former `count_models` /
-//! `weighted_count` / `probability` triplet of near-duplicate traversals are
-//! now instantiations:
+//! back out, so it works in any semiring), for managers and frozen slabs
+//! alike. The counting queries are its instantiations:
 //!
-//! * [`SddManager::count_models_exact`] — `arith::Nat` (`BigUint`): exact
+//! * [`SddEval::count_models_exact`] — `arith::Nat` (`BigUint`): exact
 //!   #SAT, no overflow at any size;
-//! * [`SddManager::weighted_count_exact`] / [`SddManager::probability_exact`]
+//! * [`SddEval::weighted_count_exact`] / [`SddEval::probability_exact`]
 //!   — `arith::Rat` (`Rational`): exact WMC, no rounding;
-//! * [`SddManager::weighted_count`] / [`SddManager::probability`] —
+//! * [`SddEval::weighted_count`] / [`SddEval::probability`] —
 //!   `arith::F64`: the fast approximate path.
 //!
-//! For the compile-once/serve-many regime (`kb::KnowledgeBase`), the
+//! For the compile-once/serve-many regime (`kb::KbSession`), the
 //! one-shot traversal is the wrong shape: every query re-walks the whole
 //! diagram even when only one variable's weight moved. [`EvalCache`] is the
 //! incremental form of the same engine — per-node values carry **epoch
@@ -30,16 +29,17 @@
 //! vtree ancestors of the changed leaves and the SDD nodes structured by
 //! them), answering everything else from cache.
 
-use crate::{FrozenSdd, SddId, SddManager, SddNode, SddRead};
+use crate::{SddId, SddNode, SddRead};
 use arith::{BigUint, LaneSemiring, Nat, Rat, Rational, Semiring, F64};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
 /// Semiring evaluation over any read-only SDD store: the blanket
 /// extension of [`SddRead`], implemented once and served by both the
-/// mutable [`SddManager`] and the immutable [`FrozenSdd`] slab (which
-/// also re-export the methods inherently, so callers rarely need this
-/// trait in scope).
+/// mutable [`SddManager`](crate::SddManager) and the immutable
+/// [`FrozenSdd`](crate::FrozenSdd) slab. Bring it
+/// into scope (`use sdd::SddEval`, or the `sentential` prelude) to call
+/// `evaluate` / `count_models*` / `weighted_count*` / `probability*`.
 pub trait SddEval: SddRead {
     /// Evaluate `root` over all vtree variables in an arbitrary commutative
     /// semiring. `weight(v, polarity)` is the weight of the literal `v` /
@@ -102,15 +102,25 @@ pub trait SddEval: SddRead {
         self.count_models_exact(root).to_u128()
     }
 
-    /// Exact model count over all vtree variables; panics past 128 bits
-    /// (see [`SddManager::count_models`]).
+    /// Exact model count over all vtree variables.
+    ///
+    /// Panics — in every build profile — when the true count exceeds 128
+    /// bits. The pre-semiring implementation silently wrapped there, and
+    /// the first semiring version saturated at `u128::MAX` behind a
+    /// debug-only assertion, so release builds could hand a saturated
+    /// count to reports; no counting path may do that. Prefer
+    /// [`SddEval::count_models_exact`] (never overflows) or
+    /// [`SddEval::count_models_checked`] (typed overflow) on inputs with
+    /// more than 128 variables.
     fn count_models(&self, root: SddId) -> u128 {
         self.count_models_checked(root)
             .expect("model count exceeds u128; use count_models_exact/count_models_checked")
     }
 
-    /// Weighted model count (`f64` path; see
-    /// [`SddManager::weighted_count`]).
+    /// Weighted model count over all vtree variables: `weight(v) = (w⁻, w⁺)`.
+    /// Variables skipped between a node and its vtree scope contribute the
+    /// smoothing factor `w⁻ + w⁺`. The fast `f64` path of the semiring
+    /// engine; see [`SddEval::weighted_count_exact`] for the exact one.
     fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
         self.evaluate(root, &F64, |v, positive| {
             let (wn, wp) = weight(v);
@@ -156,106 +166,6 @@ pub trait SddEval: SddRead {
 }
 
 impl<T: SddRead> SddEval for T {}
-
-impl SddManager {
-    /// Evaluate `root` in an arbitrary commutative semiring (see
-    /// [`SddEval::evaluate`] — this inherent form keeps existing callers
-    /// working without the trait in scope).
-    pub fn evaluate<S: Semiring>(
-        &self,
-        root: SddId,
-        semiring: &S,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> S::Elem {
-        SddEval::evaluate(self, root, semiring, weight)
-    }
-
-    /// Exact model count over all vtree variables — the `BigUint` semiring,
-    /// valid at any variable count.
-    pub fn count_models_exact(&self, root: SddId) -> BigUint {
-        SddEval::count_models_exact(self, root)
-    }
-
-    /// Exact model count as `u128`, `None` when the count needs more than
-    /// 128 bits.
-    pub fn count_models_checked(&self, root: SddId) -> Option<u128> {
-        SddEval::count_models_checked(self, root)
-    }
-
-    /// Exact model count over all vtree variables.
-    ///
-    /// Panics — in every build profile — when the true count exceeds 128
-    /// bits. The pre-semiring implementation silently wrapped there, and
-    /// the first semiring version saturated at `u128::MAX` behind a
-    /// debug-only assertion, so release builds could hand a saturated
-    /// count to reports; no counting path may do that. Prefer
-    /// [`SddManager::count_models_exact`] (never overflows) or
-    /// [`SddManager::count_models_checked`] (typed overflow) on inputs
-    /// with more than 128 variables.
-    pub fn count_models(&self, root: SddId) -> u128 {
-        SddEval::count_models(self, root)
-    }
-
-    /// Weighted model count over all vtree variables: `weight(v) = (w⁻, w⁺)`.
-    /// Variables skipped between a node and its vtree scope contribute the
-    /// smoothing factor `w⁻ + w⁺`. The fast `f64` path of the semiring
-    /// engine; see [`SddManager::weighted_count_exact`] for the exact one.
-    pub fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
-        SddEval::weighted_count(self, root, weight)
-    }
-
-    /// Exact weighted model count — the `Rational` semiring.
-    pub fn weighted_count_exact(
-        &self,
-        root: SddId,
-        weight: impl Fn(VarId) -> (Rational, Rational),
-    ) -> Rational {
-        SddEval::weighted_count_exact(self, root, weight)
-    }
-
-    /// Probability under independent `P(v=1) = prob(v)`.
-    pub fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
-        SddEval::probability(self, root, prob)
-    }
-
-    /// Exact probability under independent `P(v=1) = prob(v)`.
-    pub fn probability_exact(&self, root: SddId, prob: impl Fn(VarId) -> Rational) -> Rational {
-        SddEval::probability_exact(self, root, prob)
-    }
-}
-
-impl FrozenSdd {
-    /// Evaluate `root` in an arbitrary commutative semiring (see
-    /// [`SddEval::evaluate`]).
-    pub fn evaluate<S: Semiring>(
-        &self,
-        root: SddId,
-        semiring: &S,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> S::Elem {
-        SddEval::evaluate(self, root, semiring, weight)
-    }
-
-    /// Exact model count — the `BigUint` semiring.
-    pub fn count_models_exact(&self, root: SddId) -> BigUint {
-        SddEval::count_models_exact(self, root)
-    }
-
-    /// Exact model count as `u128`, `None` past 128 bits.
-    pub fn count_models_checked(&self, root: SddId) -> Option<u128> {
-        SddEval::count_models_checked(self, root)
-    }
-
-    /// Weighted model count (`f64` path).
-    pub fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
-        SddEval::weighted_count(self, root, weight)
-    }
-
-    /// Probability under independent `P(v=1) = prob(v)`.
-    pub fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
-        SddEval::probability(self, root, prob)
-    }
-}
 
 /// One evaluation pass: semiring, literal weights, per-vtree-node smoothing
 /// products, and the per-node raw-value table. Generic over the store
@@ -419,7 +329,7 @@ impl EvalCacheStats {
 }
 
 /// An **epoch-tagged incremental evaluator**: the semiring engine of
-/// [`SddManager::evaluate`], restructured so repeated evaluations under
+/// [`SddEval::evaluate`], restructured so repeated evaluations under
 /// changing literal weights only redo the work the changes invalidated.
 ///
 /// Every weight update bumps a global epoch and stamps it onto the vtree
@@ -432,9 +342,9 @@ impl EvalCacheStats {
 ///
 /// The cache is bound to the manager it was created with (values are keyed
 /// by that manager's node and vtree ids); handing any other manager —
-/// same-shaped vtree or not — panics ([`SddManager::uid`]).
+/// same-shaped vtree or not — panics ([`SddRead::uid`]).
 pub struct EvalCache<S: Semiring> {
-    /// The [`SddManager::uid`] this cache is bound to.
+    /// The [`SddRead::uid`] this cache is bound to.
     mgr_uid: u64,
     semiring: S,
     /// Bumped on every weight change.
@@ -454,8 +364,9 @@ pub struct EvalCache<S: Semiring> {
 
 impl<S: Semiring> EvalCache<S> {
     /// A fresh cache over `mgr`'s vtree with initial literal weights
-    /// `weight(v, polarity)`. The store may be a [`SddManager`] or a
-    /// [`FrozenSdd`] (a serving thread creates its private cache directly
+    /// `weight(v, polarity)`. The store may be a
+    /// [`SddManager`](crate::SddManager) or a
+    /// [`FrozenSdd`](crate::FrozenSdd) (a serving thread creates its private cache directly
     /// against the shared slab).
     pub fn new(
         mgr: &(impl SddRead + ?Sized),
@@ -935,7 +846,7 @@ impl<S: LaneSemiring> EvalLanes<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FALSE, TRUE};
+    use crate::{SddManager, FALSE, TRUE};
     use boolfunc::{BoolFn, VarSet};
     use vtree::Vtree;
 

@@ -19,11 +19,11 @@
 //!   so intermediate SDDs stay local to the vtree subtrees they join
 //!   instead of one accumulator growing against every operand;
 //! * conditioning (cofactors), used by the Theorem 5 experiments;
-//! * a generic semiring evaluation engine ([`SddManager::evaluate`], module
+//! * a generic semiring evaluation engine ([`SddEval::evaluate`], module
 //!   [`eval`]) with vtree-gap smoothing, instantiated at `BigUint` (exact
-//!   #SAT, [`SddManager::count_models_exact`]), `Rational` (exact WMC,
-//!   [`SddManager::weighted_count_exact`]) and `f64`
-//!   ([`SddManager::weighted_count`], [`SddManager::probability`]);
+//!   #SAT, [`SddEval::count_models_exact`]), `Rational` (exact WMC,
+//!   [`SddEval::weighted_count_exact`]) and `f64`
+//!   ([`SddEval::weighted_count`], [`SddEval::probability`]);
 //! * **SDD size** (total elements) and the paper's **SDD width**
 //!   (Definition 5: max ∧-gates structured by a single vtree node).
 //!
@@ -52,9 +52,9 @@
 //! **Depth contract:** no engine in this crate recurses on *input-sized*
 //! structure. Apply, negation, conditioning and decision construction run
 //! a **bounded-recursion hybrid**: a recursive fast path with a constant
-//! fuel budget ([`REC_FUEL`] levels — a fixed ~20 KiB of machine stack)
+//! fuel budget (`REC_FUEL` levels — a fixed ~20 KiB of machine stack)
 //! handles the overwhelmingly common shallow operations at direct-call
-//! speed, and anything deeper spills to the explicit worklist ([`Engine`],
+//! speed, and anything deeper spills to the explicit worklist (`Engine`,
 //! heap-allocated frames), which finishes with constant stack depth. Both
 //! paths consult and fill the same memo tables in the same order, so they
 //! construct identical nodes. The gate fold of circuit compilation merges
@@ -80,6 +80,7 @@ pub mod frozen;
 pub mod snapshot;
 pub mod validate;
 
+pub use eval::SddEval;
 pub use frozen::FrozenSdd;
 pub use validate::SddError;
 
@@ -181,9 +182,8 @@ fn decision_hash(vnode: VtreeNodeId, elems: &[(SddId, SddId)]) -> u64 {
 
 /// Counters over a manager's lifetime, reported by [`SddManager::apply_stats`].
 /// Compilation sessions (see `sentential_core::Compiler`) surface these in
-/// their reports to show how much work the apply route did; serving
-/// sessions (`kb::KnowledgeBase`) snapshot them per query via
-/// [`ApplyStats::delta_since`] so reports don't accumulate across a session.
+/// their reports to show how much work the apply route did. Serving
+/// sessions (`kb::KbSession`) never run apply.
 #[must_use]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ApplyStats {
@@ -200,24 +200,7 @@ pub struct ApplyStats {
 }
 
 impl ApplyStats {
-    /// Zero the counters (see also [`SddManager::reset_apply_stats`]).
-    pub fn reset(&mut self) {
-        *self = ApplyStats::default();
-    }
-
-    /// Counter increments since `earlier` (a snapshot of the same manager's
-    /// stats) — the per-query delta serving layers report.
-    pub fn delta_since(&self, earlier: ApplyStats) -> ApplyStats {
-        ApplyStats {
-            apply_calls: self.apply_calls.saturating_sub(earlier.apply_calls),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            unique_probes: self.unique_probes.saturating_sub(earlier.unique_probes),
-            unique_inserts: self.unique_inserts.saturating_sub(earlier.unique_inserts),
-        }
-    }
-
-    /// Publish these counters (typically a [`delta_since`](Self::delta_since)
-    /// delta) into the kernel's telemetry families: `sdd_apply_calls_total`,
+    /// Publish these counters into the kernel's telemetry families: `sdd_apply_calls_total`,
     /// `sdd_apply_cache_hits_total`, `sdd_unique_probes_total`,
     /// `sdd_unique_inserts_total`.
     pub fn publish(&self, reg: &obs::MetricsRegistry) {
@@ -641,13 +624,6 @@ impl SddManager {
     /// Lifetime apply counters (see [`ApplyStats`]).
     pub fn apply_stats(&self) -> ApplyStats {
         self.stats
-    }
-
-    /// Zero the lifetime apply counters. Long-lived serving sessions call
-    /// this (or snapshot-and-[`ApplyStats::delta_since`]) between queries
-    /// so each query's report reflects that query alone.
-    pub fn reset_apply_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// The manager's vtree.

@@ -3,6 +3,7 @@
 
 use boolfunc::{BoolFn, VarSet};
 use proptest::prelude::*;
+use sdd::SddEval;
 use sdd::{SddManager, FALSE, TRUE};
 use vtree::{VarId, Vtree};
 

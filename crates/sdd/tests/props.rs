@@ -11,6 +11,7 @@ use circuit::{Circuit, GateId, GateKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sdd::SddEval;
 use sdd::{SddId, SddManager, SddNode, FALSE, TRUE};
 use vtree::{VarId, Vtree};
 

@@ -28,6 +28,10 @@
 //! own conversation with a private sequence space over the shared shard
 //! pool, so two clients' jobs interleave in the shard queues and coalesce
 //! when the window is open. `quit` from any client stops the server.
+//! `save` writes a file on the server, so only the stdin conversation may
+//! use it; a TCP client gets `err save is not accepted over TCP`. A
+//! request line longer than [`MAX_LINE_BYTES`] (newline included) gets
+//! `err line exceeds 1048576 bytes` and ends its conversation.
 //!
 //! Every conversation opens with a versioned banner so clients can check
 //! compatibility before sending anything:
@@ -41,7 +45,7 @@
 //! counters plus an `all …` merged line, `metrics` dumps the pool-wide
 //! telemetry in Prometheus text format, `slow` / `trace <id>` inspect the
 //! slow-query log as single-line JSON, `save <id> <path>` persists a
-//! base's frozen state as a snapshot, `quit` exits):
+//! base's frozen state as a snapshot (stdin only), `quit` exits):
 //!
 //! ```text
 //! kb <id> marginal <var> | marginals | mpe | top <k> | query <lit>… |
@@ -63,10 +67,15 @@ use kb::{FrozenKb, KnowledgeBase};
 use obs::{MetricsRegistry, MetricsSnapshot};
 use sentential_core::Compiler;
 use serve::{parse_request, ClientHandle, KbServer, Request, PROTOCOL_VERSION};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// The longest request line a conversation reads, newline included. A
+/// line is read through a `take` of one byte more, so a client that never
+/// sends a newline holds at most this much server memory.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Per-connection socket setup: turn Nagle off and split the stream into
 /// a buffered reader and writer. An answer and the `synced` after it can
@@ -134,10 +143,12 @@ fn save_kb(kbs: &[Arc<FrozenKb>], kb: usize, path: &str) -> Result<(), String> {
 /// `output`. Returns `false` when the client asked the server to quit.
 /// Each conversation runs over its own [`ClientHandle`], so concurrent
 /// connections have private sequence spaces and never steal each other's
-/// answers.
+/// answers. `save_to` holds the bases the `save` verb may persist: the
+/// stdin conversation passes them, TCP conversations pass `None` and get
+/// an error instead of a file written on the server.
 fn converse(
     server: &mut ClientHandle,
-    kbs: &[Arc<FrozenKb>],
+    save_to: Option<&[Arc<FrozenKb>]>,
     boot: &MetricsSnapshot,
     input: &mut dyn BufRead,
     output: &mut dyn Write,
@@ -156,8 +167,20 @@ fn converse(
         }
         output.flush()?;
         line.clear();
-        if input.read_line(&mut line)? == 0 {
+        if (&mut *input)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_line(&mut line)?
+            == 0
+        {
             break; // EOF: flush and return
+        }
+        if line.len() > MAX_LINE_BYTES {
+            for (seq, resp) in server.sync() {
+                writeln!(output, "{seq} {resp}")?;
+            }
+            writeln!(output, "err line exceeds {MAX_LINE_BYTES} bytes")?;
+            output.flush()?;
+            return Ok(true);
         }
         match parse_request(&line) {
             Ok(None) => {}
@@ -197,9 +220,12 @@ fn converse(
                 Some(t) => writeln!(output, "{}", t.to_json())?,
                 None => writeln!(output, "err trace {id} not retained")?,
             },
-            Ok(Some(Request::Save { kb, path })) => match save_kb(kbs, kb, &path) {
-                Ok(()) => writeln!(output, "saved {path}")?,
-                Err(e) => writeln!(output, "err {e}")?,
+            Ok(Some(Request::Save { kb, path })) => match save_to {
+                None => writeln!(output, "err save is not accepted over TCP")?,
+                Some(kbs) => match save_kb(kbs, kb, &path) {
+                    Ok(()) => writeln!(output, "saved {path}")?,
+                    Err(e) => writeln!(output, "err {e}")?,
+                },
             },
             Ok(Some(Request::Query { kb, cmd })) => match server.submit(kb, cmd) {
                 Ok(_) => {}
@@ -217,6 +243,46 @@ fn converse(
     }
     output.flush()?;
     Ok(true)
+}
+
+/// Serve TCP connections concurrently over one shard pool: fork one
+/// [`ClientHandle`] per accepted connection and run its conversation on a
+/// thread of its own. TCP conversations may not `save`. A `quit` from any
+/// of them is signalled on `quit`; the caller shuts the pool down (the
+/// process exit then tears this accept loop down with it).
+fn serve_tcp(
+    listener: TcpListener,
+    client: ClientHandle,
+    boot: Arc<MetricsSnapshot>,
+    quit: mpsc::Sender<()>,
+) {
+    for conn in listener.incoming() {
+        match conn {
+            Ok(stream) => {
+                let peer = stream.peer_addr().ok();
+                let mut handle = client.fork();
+                let boot = Arc::clone(&boot);
+                let quit = quit.clone();
+                std::thread::spawn(move || {
+                    let (mut input, mut output) = match open_connection(stream) {
+                        Ok(io) => io,
+                        Err(e) => {
+                            eprintln!("kb-server: {e}");
+                            return;
+                        }
+                    };
+                    match converse(&mut handle, None, &boot, &mut input, &mut output) {
+                        Ok(true) => eprintln!("kb-server: {peer:?} disconnected"),
+                        Ok(false) => {
+                            let _ = quit.send(());
+                        }
+                        Err(e) => eprintln!("kb-server: {peer:?}: {e}"),
+                    }
+                });
+            }
+            Err(e) => eprintln!("kb-server: accept: {e}"),
+        }
+    }
 }
 
 fn main() {
@@ -297,8 +363,8 @@ fn main() {
     let boot = boot_registry.snapshot();
 
     // The shard pool takes ownership of one Arc per base; this second list
-    // serves the front-end `save` verb.
-    let kbs_for_save = Arc::new(kbs.clone());
+    // serves the stdin conversation's `save` verb.
+    let kbs_for_save = kbs.clone();
     let boot = Arc::new(boot);
     let server = KbServer::with_batch_window(kbs, shards, batch_window);
     match listen {
@@ -308,7 +374,13 @@ fn main() {
             let stdout = std::io::stdout();
             let mut input = stdin.lock();
             let mut output = BufWriter::new(stdout.lock());
-            if let Err(e) = converse(&mut handle, &kbs_for_save, &boot, &mut input, &mut output) {
+            if let Err(e) = converse(
+                &mut handle,
+                Some(kbs_for_save.as_slice()),
+                &boot,
+                &mut input,
+                &mut output,
+            ) {
                 eprintln!("kb-server: {e}");
             }
         }
@@ -324,43 +396,9 @@ fn main() {
                 "kb-server: listening on {addr} (batch window {} us)",
                 batch_window.as_micros()
             );
-            // Connections are served concurrently over one shard pool:
-            // the accept thread forks one ClientHandle per connection and
-            // hands it to a conversation thread. A `quit` from any client
-            // signals the main thread, which shuts the pool down (the
-            // process exit then tears the accept loop down with it).
             let (quit_tx, quit_rx) = mpsc::channel::<()>();
             let accept_client = server.client();
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    match conn {
-                        Ok(stream) => {
-                            let peer = stream.peer_addr().ok();
-                            let mut handle = accept_client.fork();
-                            let kbs = Arc::clone(&kbs_for_save);
-                            let boot = Arc::clone(&boot);
-                            let quit = quit_tx.clone();
-                            std::thread::spawn(move || {
-                                let (mut input, mut output) = match open_connection(stream) {
-                                    Ok(io) => io,
-                                    Err(e) => {
-                                        eprintln!("kb-server: {e}");
-                                        return;
-                                    }
-                                };
-                                match converse(&mut handle, &kbs, &boot, &mut input, &mut output) {
-                                    Ok(true) => eprintln!("kb-server: {peer:?} disconnected"),
-                                    Ok(false) => {
-                                        let _ = quit.send(());
-                                    }
-                                    Err(e) => eprintln!("kb-server: {peer:?}: {e}"),
-                                }
-                            });
-                        }
-                        Err(e) => eprintln!("kb-server: accept: {e}"),
-                    }
-                }
-            });
+            std::thread::spawn(move || serve_tcp(listener, accept_client, boot, quit_tx));
             let _ = quit_rx.recv();
         }
     }
@@ -381,5 +419,85 @@ mod tests {
         let (input, output) = open_connection(stream).unwrap();
         assert!(output.get_ref().nodelay().unwrap());
         assert!(input.get_ref().nodelay().unwrap());
+    }
+
+    /// A one-base pool over `chain:6` (21 models), its TCP conversations
+    /// served by `serve_tcp` exactly as `main` serves them.
+    fn loopback_server() -> (KbServer, std::net::SocketAddr) {
+        let kb = load("chain:6").unwrap();
+        let server = KbServer::new(vec![Arc::new(kb)], 1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = server.client();
+        let boot = Arc::new(MetricsRegistry::new().snapshot());
+        let (quit, _) = mpsc::channel();
+        std::thread::spawn(move || serve_tcp(listener, client, boot, quit));
+        (server, addr)
+    }
+
+    /// Connect and consume the banner. Reads time out, so a server that
+    /// never answers fails the test instead of hanging it.
+    fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut input = BufReader::new(stream.try_clone().unwrap());
+        assert!(next_line(&mut input).starts_with("hello kb-server protocol"));
+        (input, stream)
+    }
+
+    fn next_line(input: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        input.read_line(&mut line).unwrap();
+        line
+    }
+
+    #[test]
+    fn tcp_clients_cannot_save() {
+        let (server, addr) = loopback_server();
+        let path = std::env::temp_dir().join(format!("kb_server_tcp_save_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (mut input, mut output) = connect(addr);
+        writeln!(output, "save 0 {}\nkb 0 count\nsync", path.display()).unwrap();
+        assert_eq!(next_line(&mut input), "err save is not accepted over TCP\n");
+        assert_eq!(next_line(&mut input), "0 ok 21\n");
+        assert_eq!(next_line(&mut input), "synced\n");
+        assert!(!path.exists(), "no file may be written for a TCP client");
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_overlong_line_closes_only_its_own_conversation() {
+        let (server, addr) = loopback_server();
+        let (mut long_in, long_out) = connect(addr);
+        let (mut input, mut output) = connect(addr);
+        // 2 MiB and no newline, from a thread of its own: the server stops
+        // reading after MAX_LINE_BYTES + 1 and closes, so the tail of the
+        // write may be refused.
+        let writer = std::thread::spawn(move || {
+            let mut long_out = long_out;
+            let _ = long_out.write_all(&vec![b'x'; 2 << 20]);
+        });
+        writeln!(output, "kb 0 count\nsync").unwrap();
+        assert_eq!(next_line(&mut input), "0 ok 21\n");
+        assert_eq!(next_line(&mut input), "synced\n");
+
+        assert_eq!(
+            next_line(&mut long_in),
+            format!("err line exceeds {MAX_LINE_BYTES} bytes\n")
+        );
+        let mut rest = String::new();
+        assert!(
+            matches!(long_in.read_line(&mut rest), Ok(0) | Err(_)),
+            "the conversation closed, got {rest:?}"
+        );
+        writer.join().unwrap();
+
+        // The other conversation is untouched.
+        writeln!(output, "kb 0 count\nsync").unwrap();
+        assert_eq!(next_line(&mut input), "1 ok 21\n");
+        assert_eq!(next_line(&mut input), "synced\n");
+        server.shutdown();
     }
 }

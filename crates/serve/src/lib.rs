@@ -284,7 +284,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
     }
 }
 
-/// Lifetime counters of one shard worker, reported by [`KbServer::stats`]
+/// Lifetime counters of one shard worker, reported by [`ClientHandle::stats`]
 /// and returned by [`KbServer::shutdown`]. The eval counters aggregate the
 /// per-query [`kb::KbQueryStats`] deltas across every session the shard
 /// owns, so a serving deployment sees how warm its caches run.
@@ -540,11 +540,13 @@ fn answer_group(
     }
 }
 
-/// The sharded server: N frozen bases pinned across worker threads, a
-/// pipelined submit/collect interface ([`ClientHandle`]; the server embeds
-/// one as its default front-end and [`KbServer::client`] forks more for
-/// concurrent conversations), and per-shard statistics.
+/// The sharded server: N frozen bases pinned across worker threads.
+/// Conversations run over [`ClientHandle`]s that [`KbServer::client`]
+/// forks: pipelined submit/collect, per-shard statistics and the pool's
+/// metrics.
 pub struct KbServer {
+    /// The handle every conversation forks from; nothing submits
+    /// through it.
     client: ClientHandle,
     handles: Vec<JoinHandle<ShardStats>>,
 }
@@ -769,16 +771,6 @@ impl KbServer {
         }
     }
 
-    /// Knowledge bases registered (including replicas).
-    pub fn num_kbs(&self) -> usize {
-        self.client.num_kbs()
-    }
-
-    /// Shard worker threads.
-    pub fn num_shards(&self) -> usize {
-        self.client.num_shards()
-    }
-
     /// Fork a fresh client conversation over the same shard pool. Each
     /// handle has its own sequence space and its own reply channel, so
     /// concurrent connections (protocol v4) never see each other's
@@ -788,69 +780,12 @@ impl KbServer {
         self.client.fork()
     }
 
-    /// Submit a query; returns its sequence number. The call only enqueues
-    /// — collect the answer with [`KbServer::recv`] or [`KbServer::sync`].
-    pub fn submit(&mut self, kb: usize, cmd: Command) -> Result<u64, String> {
-        self.client.submit(kb, cmd)
-    }
-
-    /// Submit a `batch` request: every sub-command runs on the one session
-    /// owning base `kb`, in order, and the whole block comes back as one
-    /// seq-tagged response. All-`query` batches run as a single
-    /// lane-parallel sweep ([`kb::KbSession::query_batch`]).
-    pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
-        self.client.submit_batch(kb, cmds)
-    }
-
-    /// Responses not yet collected.
-    pub fn outstanding(&self) -> u64 {
-        self.client.outstanding()
-    }
-
-    /// Block for the next response (any shard, any order).
-    pub fn recv(&mut self) -> Option<(u64, String)> {
-        self.client.recv()
-    }
-
-    /// Responses that are already available, without blocking.
-    pub fn try_drain(&mut self) -> Vec<(u64, String)> {
-        self.client.try_drain()
-    }
-
-    /// Drain every outstanding response, returned in sequence order.
-    pub fn sync(&mut self) -> Vec<(u64, String)> {
-        self.client.sync()
-    }
-
-    /// Per-shard counters (drains this handle's outstanding work first so
-    /// the counters cover everything it submitted so far).
-    pub fn stats(&mut self) -> Vec<ShardStats> {
-        self.client.stats()
-    }
-
-    /// Render the pool-wide metrics view in Prometheus text format.
-    pub fn metrics_text(&mut self, extra: Option<&MetricsSnapshot>) -> String {
-        self.client.metrics_text(extra)
-    }
-
-    /// The slow-query log shared by every session in the pool, slowest
-    /// first.
-    pub fn slow_traces(&self) -> Vec<TraceRecord> {
-        self.client.slow_traces()
-    }
-
-    /// Look up one retained trace by id.
-    pub fn trace(&self, id: u64) -> Option<TraceRecord> {
-        self.client.trace(id)
-    }
-
     /// Shut down: tell every worker to exit once the queued work ahead is
     /// answered, join them, and return the final per-shard counters.
     /// Forked [`ClientHandle`]s may still be alive (their submits will
-    /// fail with "shard gone"); the explicit [`Job::Shutdown`] marker is
+    /// fail with "shard gone"); the explicit `Job::Shutdown` marker is
     /// what lets the workers exit while those handles hold senders.
     pub fn shutdown(mut self) -> Vec<ShardStats> {
-        let _ = self.client.sync();
         for tx in &self.client.txs {
             let _ = tx.send(Job::Shutdown);
         }
@@ -936,7 +871,10 @@ impl ClientHandle {
         Ok(seq)
     }
 
-    /// Submit a `batch` request (see [`KbServer::submit_batch`]).
+    /// Submit a `batch` request: every sub-command runs on the one session
+    /// owning base `kb`, in order, and the whole block comes back as one
+    /// seq-tagged response. All-`query` batches run as a single
+    /// lane-parallel sweep ([`kb::KbSession::query_batch`]).
     pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
         let &shard = self
             .route

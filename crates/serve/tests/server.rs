@@ -1,10 +1,10 @@
 //! End-to-end server smoke: one frozen base replicated across shards must
-//! answer a concurrent query batch **bit-identically** to the sequential
-//! mutable [`kb::KnowledgeBase`] — floats travel the wire through Rust's
+//! answer a concurrent query batch **bit-identically** to one sequential
+//! [`kb::KbSession`] — floats travel the wire through Rust's
 //! shortest-round-trip `Display`, so string equality here is bit equality
 //! of the underlying `f64`s.
 
-use kb::KnowledgeBase;
+use kb::{KbSession, KnowledgeBase};
 use sentential_core::Compiler;
 use serve::{parse_request, Command, KbServer, Request};
 use std::sync::Arc;
@@ -29,15 +29,21 @@ fn chain_kb(n: u32) -> KnowledgeBase {
     kb
 }
 
+/// A fresh sequential session over the same chain — the oracle.
+fn chain_session(n: u32) -> KbSession {
+    Arc::new(chain_kb(n).freeze()).session()
+}
+
 #[test]
 fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
     const N: u32 = 40;
     const REPLICAS: usize = 8;
     let frozen = Arc::new(chain_kb(N).freeze());
     let kbs: Vec<Arc<kb::FrozenKb>> = (0..REPLICAS).map(|_| Arc::clone(&frozen)).collect();
-    let mut server = KbServer::new(kbs, 4);
-    assert_eq!(server.num_shards(), 4);
-    assert_eq!(server.num_kbs(), REPLICAS);
+    let server = KbServer::new(kbs, 4);
+    let mut client = server.client();
+    assert_eq!(client.num_shards(), 4);
+    assert_eq!(client.num_kbs(), REPLICAS);
 
     // Fire the whole batch before collecting anything: every replica gets
     // a marginal, a conjunction query, a log-weight, and a count, all
@@ -47,17 +53,17 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
     for r in 0..REPLICAS {
         let m = v((3 + 5 * r as u32) % N);
         let q = [(v((7 * r as u32 + 1) % N), r % 2 == 0)];
-        seqs.push(server.submit(r, Command::Marginal(m)).unwrap());
-        seqs.push(server.submit(r, Command::Query(q.to_vec())).unwrap());
-        seqs.push(server.submit(r, Command::LogWeight).unwrap());
-        seqs.push(server.submit(r, Command::Count).unwrap());
+        seqs.push(client.submit(r, Command::Marginal(m)).unwrap());
+        seqs.push(client.submit(r, Command::Query(q.to_vec())).unwrap());
+        seqs.push(client.submit(r, Command::LogWeight).unwrap());
+        seqs.push(client.submit(r, Command::Count).unwrap());
         expected.push((m, q));
     }
-    let responses = server.sync();
+    let responses = client.sync();
     assert_eq!(responses.len(), 4 * REPLICAS);
 
-    // The sequential oracle answers the same queries on the mutable path.
-    let mut oracle = chain_kb(N);
+    // One sequential session answers the same queries.
+    let mut oracle = chain_session(N);
     let mut iter = responses.into_iter();
     for (r, &(m, q)) in expected.iter().enumerate() {
         let (s0, a_marginal) = iter.next().unwrap();
@@ -73,7 +79,7 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
 
     // Per-shard stats cover the whole batch, and the merged roll-up sums
     // every shard.
-    let stats = server.stats();
+    let stats = client.stats();
     assert_eq!(stats.len(), 4);
     let served: u64 = stats.iter().map(|s| s.served).sum();
     assert_eq!(served, 4 * REPLICAS as u64);
@@ -90,18 +96,19 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
 fn session_state_is_sticky_per_replica() {
     let frozen = Arc::new(chain_kb(16).freeze());
     let kbs = vec![Arc::clone(&frozen), Arc::clone(&frozen)];
-    let mut server = KbServer::new(kbs, 2);
+    let server = KbServer::new(kbs, 2);
+    let mut client = server.client();
 
     // Replica 0 asserts evidence; replica 1 must stay at the baseline.
-    server
+    client
         .submit(0, Command::Condition(vec![(v(2), true)]))
         .unwrap();
-    server.submit(0, Command::LogWeight).unwrap();
-    server.submit(1, Command::LogWeight).unwrap();
-    let responses = server.sync();
+    client.submit(0, Command::LogWeight).unwrap();
+    client.submit(1, Command::LogWeight).unwrap();
+    let responses = client.sync();
     assert_eq!(responses[0].1, "ok");
 
-    let mut oracle = chain_kb(16);
+    let mut oracle = chain_session(16);
     let baseline = format!("ok {}", oracle.log_weight());
     oracle.condition(&[(v(2), true)]).unwrap();
     let conditioned = format!("ok {}", oracle.log_weight());
@@ -110,9 +117,9 @@ fn session_state_is_sticky_per_replica() {
     assert_ne!(conditioned, baseline);
 
     // Retract restores the frozen baseline on the conditioned replica.
-    server.submit(0, Command::Retract).unwrap();
-    server.submit(0, Command::LogWeight).unwrap();
-    let responses = server.sync();
+    client.submit(0, Command::Retract).unwrap();
+    client.submit(0, Command::LogWeight).unwrap();
+    let responses = client.sync();
     assert_eq!(responses[1].1, baseline);
     server.shutdown();
 }
@@ -120,7 +127,8 @@ fn session_state_is_sticky_per_replica() {
 #[test]
 fn wire_protocol_round_trips_through_parse_and_answer() {
     let frozen = Arc::new(chain_kb(8).freeze());
-    let mut server = KbServer::new(vec![frozen], 1);
+    let server = KbServer::new(vec![frozen], 1);
+    let mut client = server.client();
     let script = [
         "kb 0 marginal 3",
         "kb 0 condition 2 -5",
@@ -137,12 +145,12 @@ fn wire_protocol_round_trips_through_parse_and_answer() {
     for line in script {
         match parse_request(line).unwrap().unwrap() {
             Request::Query { kb, cmd } => {
-                server.submit(kb, cmd).unwrap();
+                client.submit(kb, cmd).unwrap();
             }
             other => panic!("unexpected request {other:?}"),
         }
     }
-    let responses = server.sync();
+    let responses = client.sync();
     assert_eq!(responses.len(), script.len());
     for (i, (_, resp)) in responses.iter().enumerate() {
         assert!(
@@ -155,7 +163,7 @@ fn wire_protocol_round_trips_through_parse_and_answer() {
     // `condition 2`.
     assert_eq!(responses[4].1, "ok true");
     // Bad kb ids surface as submit errors, not worker panics.
-    assert!(server.submit(7, Command::LogWeight).is_err());
+    assert!(client.submit(7, Command::LogWeight).is_err());
     server.shutdown();
 }
 
@@ -169,13 +177,14 @@ fn pool_metrics_cover_kernel_kb_and_serve_families() {
     frozen.publish_boot_metrics(&boot, 0);
 
     let kbs = vec![Arc::clone(&frozen), Arc::clone(&frozen)];
-    let mut server = KbServer::new(kbs, 2);
+    let server = KbServer::new(kbs, 2);
+    let mut client = server.client();
     for r in 0..2 {
-        server.submit(r, Command::Marginal(v(3))).unwrap();
-        server.submit(r, Command::AllMarginals).unwrap();
-        server.submit(r, Command::LogWeight).unwrap();
+        client.submit(r, Command::Marginal(v(3))).unwrap();
+        client.submit(r, Command::AllMarginals).unwrap();
+        client.submit(r, Command::LogWeight).unwrap();
     }
-    let text = server.metrics_text(Some(&boot.snapshot()));
+    let text = client.metrics_text(Some(&boot.snapshot()));
 
     // Kernel tier (apply/unique-table, published from compile provenance).
     assert!(text.contains("sdd_apply_calls_total"), "{text}");
@@ -229,14 +238,15 @@ fn pool_metrics_cover_kernel_kb_and_serve_families() {
 #[test]
 fn slow_log_retains_traces_that_the_trace_verb_can_look_up() {
     let frozen = Arc::new(chain_kb(12).freeze());
-    let mut server = KbServer::new(vec![frozen], 1);
+    let server = KbServer::new(vec![frozen], 1);
+    let mut client = server.client();
     for _ in 0..4 {
-        server.submit(0, Command::AllMarginals).unwrap();
-        server.submit(0, Command::Mpe).unwrap();
+        client.submit(0, Command::AllMarginals).unwrap();
+        client.submit(0, Command::Mpe).unwrap();
     }
-    let _ = server.sync();
+    let _ = client.sync();
 
-    let worst = server.slow_traces();
+    let worst = client.slow_traces();
     assert!(
         !worst.is_empty(),
         "queries must leave traces in the pool log"
@@ -246,14 +256,14 @@ fn slow_log_retains_traces_that_the_trace_verb_can_look_up() {
         assert!(pair[0].total >= pair[1].total);
     }
     let head = &worst[0];
-    let fetched = server.trace(head.id).expect("retained trace by id");
+    let fetched = client.trace(head.id).expect("retained trace by id");
     assert_eq!(fetched.id, head.id);
     assert_eq!(fetched.to_json(), head.to_json());
     // Labels are the wire-level query kinds; stages carry timings.
     assert!(worst
         .iter()
         .all(|t| t.label == "marginals" || t.label == "mpe"));
-    assert!(server.trace(u64::MAX).is_none());
+    assert!(client.trace(u64::MAX).is_none());
     server.shutdown();
 }
 
@@ -280,11 +290,12 @@ fn coalesced_groups_isolate_poisoned_lanes_bit_identically() {
     ];
 
     // Scalar oracle: the same wire requests through a window-off pool.
-    let mut scalar = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let scalar = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let mut scalar_client = scalar.client();
     for q in &requests {
-        scalar.submit(0, Command::Query(q.clone())).unwrap();
+        scalar_client.submit(0, Command::Query(q.clone())).unwrap();
     }
-    let scalar_lines: Vec<String> = scalar.sync().into_iter().map(|(_, l)| l).collect();
+    let scalar_lines: Vec<String> = scalar_client.sync().into_iter().map(|(_, l)| l).collect();
     scalar.shutdown();
     assert!(scalar_lines[3].starts_with("err"), "{:?}", scalar_lines[3]);
     assert_eq!(scalar_lines[6], "ok 0", "contradiction has weight zero");
@@ -348,7 +359,7 @@ fn concurrent_client_handles_demux_their_own_answers() {
 
     // Alice queries kb 0, Bob queries kb 1 (a replica of the same slab):
     // both sides use the same sequence numbers on purpose.
-    let mut oracle = chain_kb(N);
+    let mut oracle = chain_session(N);
     let mut expect_alice = Vec::new();
     let mut expect_bob = Vec::new();
     for i in 0..6u32 {
@@ -371,7 +382,8 @@ fn concurrent_client_handles_demux_their_own_answers() {
 #[test]
 fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     let frozen = Arc::new(chain_kb(24).freeze());
-    let mut server = KbServer::new(vec![frozen], 2);
+    let server = KbServer::new(vec![frozen], 2);
+    let mut client = server.client();
 
     // An all-`query` batch (the lane-parallel fast path) must render the
     // exact lines the same sub-commands produce when submitted one by one.
@@ -381,10 +393,10 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     };
     let scalar_seqs: Vec<u64> = cmds
         .iter()
-        .map(|c| server.submit(kb, c.clone()).unwrap())
+        .map(|c| client.submit(kb, c.clone()).unwrap())
         .collect();
-    let batch_seq = server.submit_batch(kb, cmds.clone()).unwrap();
-    let responses = server.sync();
+    let batch_seq = client.submit_batch(kb, cmds.clone()).unwrap();
+    let responses = client.sync();
     assert_eq!(responses.len(), scalar_seqs.len() + 1);
     let batch_line = &responses
         .iter()
@@ -404,9 +416,9 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     let Some(Request::Batch { kb, cmds }) = parse_request(line).unwrap() else {
         panic!("mixed batch line must parse");
     };
-    server.submit_batch(kb, cmds).unwrap();
-    let responses = server.sync();
-    let mut oracle = chain_kb(24);
+    client.submit_batch(kb, cmds).unwrap();
+    let responses = client.sync();
+    let mut oracle = chain_session(24);
     let base = oracle.log_weight();
     oracle.condition(&[(v(1), true)]).unwrap();
     let conditioned = oracle.log_weight();
@@ -417,10 +429,47 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     );
 
     // Batch stats: one request served per batch, eval cost aggregated.
-    let stats = server.stats();
+    let stats = client.stats();
     let merged = serve::ShardStats::merged(&stats);
     assert_eq!(merged.served, 4 + 2);
     assert!(merged.eval_lookups > 0);
     assert!(merged.busy > std::time::Duration::ZERO);
+    server.shutdown();
+}
+
+/// Sessions intern nothing: 10k structurally distinct `condition` and
+/// `entails` queries (5k rounds, each retracted) through the serving path
+/// leave the frozen slab's resident size exactly where it was, and the
+/// pool's `sdd_mem_bytes` gauge (set from every query's stats) reads that
+/// same size at the end.
+#[test]
+fn ten_thousand_distinct_structural_queries_leave_memory_flat() {
+    const N: u32 = 24;
+    const ROUNDS: u32 = 5_000;
+    let frozen = Arc::new(chain_kb(N).freeze());
+    let before = frozen.memory_bytes();
+    let server = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let mut client = server.client();
+    // Round i's three literals: i's base-N digits as variables, its low
+    // bits as polarities — no two rounds ask the same thing.
+    let lits = |i: u32, flip: bool| -> Vec<(VarId, bool)> {
+        (0..3)
+            .map(|d| (v(i / N.pow(d) % N), (i >> d & 1 == 0) != flip))
+            .collect()
+    };
+    let mut answered = 0;
+    for i in 0..ROUNDS {
+        client.submit(0, Command::Condition(lits(i, true))).unwrap();
+        client.submit(0, Command::Entails(lits(i, false))).unwrap();
+        client.submit(0, Command::Retract).unwrap();
+        if i % 1000 == 999 {
+            answered += client.sync().len();
+        }
+    }
+    assert_eq!(answered, 3 * ROUNDS as usize);
+    assert_eq!(frozen.memory_bytes(), before);
+    let text = client.metrics_text(None);
+    let gauge = format!("sdd_mem_bytes {before}");
+    assert!(text.lines().any(|l| l == gauge), "{text}");
     server.shutdown();
 }

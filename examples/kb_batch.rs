@@ -104,7 +104,8 @@ c p weight -4 0.5 0
     // request line, one seq-tagged response block, sub-answers in order.
     // (`pe` is the wire spelling of the empty-evidence prior; an
     // all-`query` batch is served by one `query_batch` sweep.)
-    let mut server = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let server = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let mut client = server.client();
     let line = "batch 0 pe ; query 4 ; query 4 1 ; query -3";
     println!("\nwire round-trip: {line}");
     match parse_request(line)
@@ -112,11 +113,11 @@ c p weight -4 0.5 0
         .expect("not a comment")
     {
         Request::Batch { kb, cmds } => {
-            server.submit_batch(kb, cmds).expect("valid kb id");
+            client.submit_batch(kb, cmds).expect("valid kb id");
         }
         other => panic!("unexpected {other:?}"),
     }
-    for (seq, answer) in server.sync() {
+    for (seq, answer) in client.sync() {
         println!("  {seq} {answer}");
     }
 

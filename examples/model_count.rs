@@ -10,6 +10,7 @@
 //!
 //! Run: `cargo run --example model_count`
 
+use sdd::SddEval;
 use sentential::prelude::*;
 
 fn main() {

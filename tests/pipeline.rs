@@ -2,6 +2,7 @@
 //! families, with every paper invariant checked at once.
 
 use boolfunc::factor_width;
+use sdd::SddEval;
 use sentential::prelude::*;
 
 fn family_zoo(n: u32) -> Vec<(&'static str, Circuit)> {

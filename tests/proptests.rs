@@ -3,6 +3,7 @@
 
 use boolfunc::{factors, BoolFn, VarSet};
 use proptest::prelude::*;
+use sdd::SddEval;
 use sentential::prelude::*;
 
 /// Strategy: a Boolean function over `n` variables as a raw table plus a

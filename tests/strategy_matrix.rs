@@ -3,6 +3,7 @@
 //! counts across the bounded-treewidth circuit families, and the vtree
 //! strategies must agree with them too.
 
+use sdd::SddEval;
 use sentential::prelude::*;
 
 fn families(n: u32) -> Vec<(&'static str, Circuit)> {
