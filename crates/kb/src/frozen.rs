@@ -26,7 +26,7 @@
 //! session's own evidence is local to it and [`KbSession::retract`]
 //! restores the frozen baseline, never less.
 
-use crate::ac::Ac;
+use crate::ac::{Ac, SweepBufs};
 use crate::{stats_sum, KbError, KbProvenance, KbQueryStats, KnowledgeBase, Lit, Model, QueryKind};
 use arith::{log_sum_exp, BigUint, LogF64, Nat};
 use boolfunc::Assignment;
@@ -201,6 +201,7 @@ impl FrozenKb {
             posterior,
             structural,
             marginals_memo: None,
+            sweep: SweepBufs::default(),
             last_query: KbQueryStats::default(),
             memo_hit_scratch: false,
             lanes_scratch: 1,
@@ -253,10 +254,15 @@ pub struct KbSession {
     /// `-∞` exactly when no model satisfies the evidence — no node is
     /// interned to find out.
     structural: EvalCache<LogF64>,
-    /// Marginals memo, keyed by the posterior cache's epoch. The
-    /// [`KbError::Inconsistent`] verdict is memoized too — rediscovering
-    /// it per variable would cost a full sweep each time.
-    marginals_memo: Option<(u64, Result<Vec<f64>, KbError>)>,
+    /// Marginals memo, keyed by the posterior cache's epoch: the sweep's
+    /// unnormalized `(m⁻, m⁺)` pairs, normalized per variable on read (a
+    /// single [`KbSession::marginal`] pays for one variable, not all).
+    /// The [`KbError::Inconsistent`] verdict is memoized too —
+    /// rediscovering it per variable would cost a full sweep each time.
+    marginals_memo: Option<(u64, Result<LogPairs, KbError>)>,
+    /// The marginal sweeps' value and derivative tables, reused across
+    /// queries.
+    sweep: SweepBufs<f64>,
     last_query: KbQueryStats,
     /// Scratch flag queries raise inside [`KbSession::tracked`] when they
     /// answered from the marginals memo.
@@ -272,6 +278,10 @@ pub struct KbSession {
     /// query path free of instrumentation work.
     obs: Option<SessionObs>,
 }
+
+/// Unnormalized log marginal pairs `(ln m⁻, ln m⁺)`, one per variable
+/// (or per variable and lane, at `var * lanes + l`).
+type LogPairs = Vec<(f64, f64)>;
 
 /// One batch's per-lane inputs, from [`KbSession::lane_columns`].
 struct LaneColumns {
@@ -637,17 +647,23 @@ impl KbSession {
             .var_index
             .get(&v)
             .ok_or(KbError::UnknownVariable(v))?;
-        Ok(self.marginals_table(QueryKind::Marginal)?[i])
+        Ok(normalized(self.marginals_table(QueryKind::Marginal)?[i]))
     }
 
     /// All posterior marginals `P(v = 1 | F ∧ e)`, in vtree variable
     /// order, from one upward + downward sweep of the unfolded circuit.
     pub fn all_marginals(&mut self) -> Result<Vec<(VarId, f64)>, KbError> {
-        let table = self.marginals_table(QueryKind::AllMarginals)?.clone();
-        Ok(self.kb.vars.iter().copied().zip(table).collect())
+        let kb = Arc::clone(&self.kb);
+        let table = self.marginals_table(QueryKind::AllMarginals)?;
+        Ok(kb
+            .vars
+            .iter()
+            .zip(table)
+            .map(|(&v, &pair)| (v, normalized(pair)))
+            .collect())
     }
 
-    fn marginals_table(&mut self, kind: QueryKind) -> Result<&Vec<f64>, KbError> {
+    fn marginals_table(&mut self, kind: QueryKind) -> Result<&[(f64, f64)], KbError> {
         self.tracked(kind, |s| {
             let epoch = s.posterior.epoch();
             if matches!(&s.marginals_memo, Some((e, _)) if *e == epoch) {
@@ -657,15 +673,12 @@ impl KbSession {
             let weights = s.posterior_log_weights();
             let (total, pairs) = {
                 let _sp = obs::span("ac_sweep");
-                s.kb.ac.marginals(&LogF64, &weights)
+                s.kb.ac.marginals(&LogF64, &weights, &mut s.sweep)
             };
             let result = if total == f64::NEG_INFINITY {
                 Err(KbError::Inconsistent)
             } else {
-                Ok(pairs
-                    .into_iter()
-                    .map(|(mn, mp)| (mp - log_sum_exp(mn, mp)).exp())
-                    .collect::<Vec<f64>>())
+                Ok(pairs)
             };
             s.marginals_memo = Some((epoch, result));
         });
@@ -684,9 +697,12 @@ impl KbSession {
         let Some(&i) = self.kb.var_index.get(&v) else {
             return vec![Err(KbError::UnknownVariable(v)); evidence.len()];
         };
-        self.marginals_batch_table(QueryKind::MarginalBatch, evidence)
+        let lanes = evidence.len();
+        let (status, pairs) = self.marginals_batch_pairs(QueryKind::MarginalBatch, evidence);
+        status
             .into_iter()
-            .map(|r| r.map(|t| t[i]))
+            .enumerate()
+            .map(|(l, r)| r.map(|()| normalized(pairs[i * lanes + l])))
             .collect()
     }
 
@@ -697,26 +713,38 @@ impl KbSession {
         &mut self,
         evidence: &[Vec<Lit>],
     ) -> Vec<Result<Vec<(VarId, f64)>, KbError>> {
-        let tables = self.marginals_batch_table(QueryKind::AllMarginalsBatch, evidence);
-        tables
+        let lanes = evidence.len();
+        let (status, pairs) = self.marginals_batch_pairs(QueryKind::AllMarginalsBatch, evidence);
+        status
             .into_iter()
-            .map(|r| r.map(|t| self.kb.vars.iter().copied().zip(t).collect()))
+            .enumerate()
+            .map(|(l, r)| {
+                r.map(|()| {
+                    self.kb
+                        .vars
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (v, normalized(pairs[i * lanes + l])))
+                        .collect()
+                })
+            })
             .collect()
     }
 
     /// Shared engine of the batched marginal queries: build the lane
     /// weight columns ([`KbSession::lane_columns`]) and run one
-    /// [`Ac::marginals_lanes`] sweep. Per lane: an unknown evidence
-    /// variable is that lane's error; a `-∞` total (no model under the
-    /// merged pins) is `Inconsistent`; otherwise the normalized table, in
-    /// vtree variable order.
-    fn marginals_batch_table(
+    /// [`Ac::marginals_lanes`] sweep. Returns each lane's status — an
+    /// unknown evidence variable is that lane's error; a `-∞` total (no
+    /// model under the merged pins) is `Inconsistent` — and the
+    /// unnormalized `(m⁻, m⁺)` pairs at `var * lanes + l`, left for the
+    /// caller to normalize only the variables it reports.
+    fn marginals_batch_pairs(
         &mut self,
         kind: QueryKind,
         evidence: &[Vec<Lit>],
-    ) -> Vec<Result<Vec<f64>, KbError>> {
+    ) -> (Vec<Result<(), KbError>>, LogPairs) {
         if evidence.is_empty() {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         let lanes = evidence.len();
         self.tracked(kind, |s| {
@@ -724,24 +752,16 @@ impl KbSession {
             let LaneColumns { lane_err, cols, .. } = s.lane_columns(evidence);
             let (total, pairs) = {
                 let _sp = obs::span("ac_sweep_lanes");
-                s.kb.ac.marginals_lanes(&LogF64, lanes, &cols)
+                s.kb.ac.marginals_lanes(&LogF64, lanes, &cols, &mut s.sweep)
             };
-            (0..lanes)
-                .map(|l| {
-                    if let Some(e) = &lane_err[l] {
-                        return Err(e.clone());
-                    }
-                    if total[l] == f64::NEG_INFINITY {
-                        return Err(KbError::Inconsistent);
-                    }
-                    Ok((0..s.kb.vars.len())
-                        .map(|i| {
-                            let (mn, mp) = pairs[i * lanes + l];
-                            (mp - log_sum_exp(mn, mp)).exp()
-                        })
-                        .collect())
+            let status = (0..lanes)
+                .map(|l| match &lane_err[l] {
+                    Some(e) => Err(e.clone()),
+                    None if total[l] == f64::NEG_INFINITY => Err(KbError::Inconsistent),
+                    None => Ok(()),
                 })
-                .collect()
+                .collect();
+            (status, pairs)
         })
     }
 
@@ -897,10 +917,12 @@ impl KbSession {
                     }
                 }
             }
-            let verified = {
+            let mut verified = Vec::new();
+            {
                 let _sp = obs::span("ac_mpe_verify_lanes");
-                s.kb.ac.eval_lanes(&arith::MaxPlus, lanes, &verify_cols)
-            };
+                s.kb.ac
+                    .eval_lanes(&arith::MaxPlus, lanes, &verify_cols, &mut verified);
+            }
             let root_row = s.kb.ac.root as usize * lanes;
             decoded
                 .into_iter()
@@ -1036,12 +1058,14 @@ impl KbSession {
         pinned_log_pair(&self.weights, &self.pinned, v)
     }
 
-    /// Dense evidence-adjusted log-weight table in vtree variable order.
+    /// Dense evidence-adjusted log-weight table in vtree variable order:
+    /// the posterior cache's weight table, which every weight and
+    /// evidence update keeps equal to [`KbSession::pinned_log_pair`].
     fn posterior_log_weights(&self) -> Vec<(f64, f64)> {
         self.kb
             .vars
             .iter()
-            .map(|&v| self.pinned_log_pair(v))
+            .map(|&v| *self.posterior.weight(v))
             .collect()
     }
 
@@ -1146,6 +1170,12 @@ pub(crate) fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, v: VarId, b: bool
             true
         }
     }
+}
+
+/// `P(v = 1)` from a variable's unnormalized log marginal pair
+/// `(ln m⁻, ln m⁺)`.
+fn normalized((mn, mp): (f64, f64)) -> f64 {
+    (mp - log_sum_exp(mn, mp)).exp()
 }
 
 /// The evidence-adjusted log-weight pair of `v`.

@@ -5,13 +5,15 @@
 //! the stack (~10k variables needed a dedicated 256 MB thread). These
 //! tests drive a full knowledge-base session — `compile_cnf` →
 //! `condition` → `freeze` → `all_marginals` → `mpe` → `enumerate_models` —
-//! on the
-//! harness's **default-size test thread**, at 100k variables, with every
-//! numeric answer checked against an independent O(n) chain-DP oracle;
-//! the same session at small scale is additionally pinned against the
-//! exact `Rational` engine (the `LogF64`/`Rat` cross-check).
+//! on the harness's **default-size test thread**, at 100k variables, with
+//! every numeric answer checked against an independent O(n) chain-DP
+//! oracle; the same session at small scale is additionally pinned against
+//! the exact `Rational` engine (the `LogF64`/`Rat` cross-check). The
+//! apply engine's restriction (`SddManager::condition`, on a plain manager
+//! and on a copy-on-write branch of the frozen slab) runs at the same
+//! depth and must agree with the sessions' weight-space evidence.
 
-use arith::{BigUint, Rational};
+use arith::{BigUint, LogF64, Rational};
 use cnf::families;
 use kb::KnowledgeBase;
 use sdd::SddEval;
@@ -242,12 +244,22 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
 /// compile, condition, all_marginals, mpe, enumerate_models — completes
 /// on the harness's default-size thread, answers matching the O(n)
 /// oracle. Before the worklist rewrite every stage of this overflowed an
-/// 8 MB stack (the engines recursed to vtree depth ≈ 100k).
+/// 8 MB stack (the engines recursed to vtree depth ≈ 100k). The apply
+/// engine restricts the same diagram by the same evidence — a descent
+/// ~50k vtree levels deep, far past its recursion fuel, so through its
+/// worklist spill — and the restricted diagram's weighted count must
+/// match the oracle and the session.
 #[test]
 fn hundred_thousand_variable_session_on_a_default_stack() {
     let n = DEEP_N;
     let f = families::chain_cnf(n);
-    let mut kb = KnowledgeBase::compile_cnf(&serving_compiler(), &f).expect("compiles at 100k");
+    let mut c = serving_compiler()
+        .compile_cnf(&f)
+        .expect("compiles at 100k");
+    let evidence = (VarId(n / 2), true);
+    let restricted = c.sdd.condition(c.root, evidence.0, evidence.1);
+    assert_ne!(restricted, c.root, "the restriction builds new nodes");
+    let mut kb = KnowledgeBase::from_cnf_compilation(c, &f).expect("serves at 100k");
     assert_eq!(kb.vars().len(), n as usize);
 
     // Weight a scattered handful of variables (each update walks one
@@ -256,10 +268,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
     }
-    let evidence = (VarId(n / 2), true);
     kb.condition(&[evidence]).unwrap();
-    let mut s = Arc::new(kb.freeze()).session();
-    assert!(s.is_consistent());
 
     // The oracle's weight table under the same session state.
     let lw: Vec<(f64, f64)> = (0..n)
@@ -279,12 +288,35 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
         .collect();
     let (log_z, oracle_marginals, oracle_best) = chain_oracle(&lw);
 
+    // The apply-restricted diagram no longer mentions the evidence
+    // variable, whose smoothing factor `-∞ ⊕ ln w⁺` is its pinned weight.
+    let lw_of = |v: VarId, positive: bool| {
+        let (wn, wp) = lw[v.0 as usize];
+        if positive {
+            wp
+        } else {
+            wn
+        }
+    };
+    let apply_lnw = kb.sdd().evaluate(restricted, &LogF64, lw_of);
+    assert!(
+        (apply_lnw - log_z).abs() < 1e-9 * log_z.abs().max(1.0),
+        "apply-restricted log-weight {apply_lnw} vs oracle {log_z}"
+    );
+
+    let mut s = Arc::new(kb.freeze()).session();
+    assert!(s.is_consistent());
+
     // Weighted count of the conditioned session, in log space.
     let lnw = s.log_weight();
     assert!(lnw.is_finite());
     assert!(
         (lnw - log_z).abs() < 1e-6 * log_z.abs().max(1.0),
         "kb log-weight {lnw} vs oracle {log_z}"
+    );
+    assert!(
+        (lnw - apply_lnw).abs() < 1e-9 * lnw.abs().max(1.0),
+        "session {lnw} vs apply-restricted {apply_lnw}"
     );
 
     // All 100k posterior marginals in one two-pass sweep.
@@ -336,12 +368,22 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
 /// frozen into the base (through a `branch` of the shared slab) and the
 /// same evidence asserted by a session are the same pins, so every answer
 /// is **bit-identical** either way; session-local evidence on top of the
-/// frozen baseline retracts back to it. All on the default test thread.
+/// frozen baseline retracts back to it. The copy-on-write overlay manager
+/// restricts the shared slab by the same evidence at full depth, interning
+/// into its extension only, and agrees with the session's weight-space
+/// answer. All on the default test thread.
 #[test]
 fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     let n = DEEP_N;
     let f = families::chain_cnf(n);
-    let mut kb = KnowledgeBase::compile_cnf(&serving_compiler(), &f).expect("compiles at 100k");
+    let c = serving_compiler()
+        .compile_cnf(&f)
+        .expect("compiles at 100k");
+    let root = c.root;
+    // The compiled diagram as a shared slab; the knowledge base is built
+    // over a branch of it, and the apply engine below restricts another.
+    let slab = Arc::new(c.sdd.freeze());
+    let mut kb = KnowledgeBase::new(slab.branch(), root);
     let weighted: Vec<u32> = (0..10).map(|j| j * (n / 10) + 7).collect();
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
@@ -355,6 +397,25 @@ fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     let lnw = a.log_weight();
     let marginals = a.all_marginals().unwrap();
     let mpe = a.mpe().unwrap();
+
+    // The overlay's apply-based restriction of the shared slab, counted
+    // under the same pinned weights.
+    let mut overlay = slab.branch();
+    let restricted = overlay.condition(root, evidence.0, evidence.1);
+    assert!(overlay.num_allocated() > slab.num_allocated());
+    let apply_lnw = overlay.evaluate(restricted, &LogF64, |v, positive| {
+        let (wn, wp) = plain.weights_of(v).expect("vtree variable");
+        match (v == evidence.0, positive) {
+            (true, false) => f64::NEG_INFINITY,
+            (_, true) => wp.ln(),
+            (false, false) => wn.ln(),
+        }
+    });
+    assert!(
+        (apply_lnw - lnw).abs() < 1e-9 * lnw.abs().max(1.0),
+        "overlay apply-restricted {apply_lnw} vs session {lnw}"
+    );
+    drop(overlay);
 
     // …and frozen in through a copy-on-write branch: same answers, bit
     // for bit.

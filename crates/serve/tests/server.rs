@@ -441,7 +441,10 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
 /// `entails` queries (5k rounds, each retracted) through the serving path
 /// leave the frozen slab's resident size exactly where it was, and the
 /// pool's `sdd_mem_bytes` gauge (set from every query's stats) reads that
-/// same size at the end.
+/// same size at the end. A smoke check of the serving contract, not a
+/// leak detector: the slab sits behind an `Arc` with no interior
+/// mutability, so its size cannot change by construction, and
+/// session-private state is not measured here.
 #[test]
 fn ten_thousand_distinct_structural_queries_leave_memory_flat() {
     const N: u32 = 24;
